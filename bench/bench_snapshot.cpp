@@ -4,9 +4,12 @@
 // value bank, N statecharts). Expected shape: binary encode and restore
 // both >=5x faster than XML (no document tree, no text formatting or
 // parsing), and a steady-state delta with <20% of sections dirty >=5x
-// smaller than its full base.
+// smaller than its full base. BM_IncrementalEncodeGrowingRecorder: delta
+// encode time stays flat as the event log grows (append-only recorder
+// section).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -278,5 +281,48 @@ void BM_SnapshotIncremental(benchmark::State& state) {
   state.counters["machines"] = static_cast<double>(state.range(0));
 }
 BENCHMARK(BM_SnapshotIncremental)->Arg(8)->Arg(32)->Arg(64)->Unit(benchmark::kMicrosecond);
+
+void BM_IncrementalEncodeGrowingRecorder(benchmark::State& state) {
+  // Delta encodes, one tick of progress apart, on a rig whose event log
+  // already holds N entries. The recorder section is appended to, not
+  // re-encoded, so a delta costs the entries recorded since the previous
+  // checkpoint: time per encode should stay flat as N grows. A fixed
+  // iteration count keeps the log near N for the whole run.
+  const auto entries = static_cast<std::uint64_t>(state.range(0));
+  BenchRig rig(kMachines);
+  while (rig.recorder.total_events() < entries) rig.run_ticks(16);
+  const replay::SnapshotTargets targets = rig.targets();
+  replay::IncrementalEncoder encoder;
+  replay::IncrementalEncoder::Result result;  // Reused, as CheckpointStore does.
+  support::DiagnosticSink sink;
+  if (!encoder.encode(targets, /*force_full=*/true, result, sink)) {
+    state.SkipWithError("full encode failed");
+    return;
+  }
+  const double full_bytes = static_cast<double>(result.bytes.size());
+  double delta_bytes = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    rig.run_ticks(1);
+    state.ResumeTiming();
+    if (!encoder.encode(targets, /*force_full=*/false, result, sink)) {
+      state.SkipWithError("delta encode failed");
+      break;
+    }
+    benchmark::DoNotOptimize(result.bytes.data());
+    benchmark::ClobberMemory();
+    delta_bytes += static_cast<double>(result.bytes.size());
+  }
+  state.counters["log_entries"] = static_cast<double>(rig.recorder.total_events());
+  state.counters["full_bytes"] = full_bytes;
+  state.counters["delta_bytes"] =
+      delta_bytes / static_cast<double>(std::max<benchmark::IterationCount>(state.iterations(), 1));
+}
+BENCHMARK(BM_IncrementalEncodeGrowingRecorder)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Arg(16384)
+    ->Iterations(2000)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

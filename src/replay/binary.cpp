@@ -1,8 +1,10 @@
 #include "replay/binary.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstring>
+#include <span>
 
 namespace umlsoc::replay {
 
@@ -41,8 +43,12 @@ std::string to_hex(std::uint64_t value) {
 
 // --- primitive codecs (little-endian, memcpy) --------------------------------
 
+/// Appends little-endian fields to a caller-owned buffer, so encoders can
+/// reuse one buffer's capacity across checkpoints.
 class ByteWriter {
  public:
+  explicit ByteWriter(std::string& buffer) : buffer_(buffer) {}
+
   void u8(std::uint8_t value) { buffer_.push_back(static_cast<char>(value)); }
   void u16(std::uint16_t value) { raw(&value, sizeof value); }
   void u32(std::uint32_t value) { raw(&value, sizeof value); }
@@ -55,9 +61,25 @@ class ByteWriter {
     bytes(value);
   }
   void bytes(std::string_view value) { buffer_.append(value); }
+  /// Grows the buffer by `size` bytes and returns where they start, for
+  /// fixed-width runs filled with put().
+  char* extend(std::size_t size) {
+    const std::size_t at = buffer_.size();
+    buffer_.resize(at + size);
+    return buffer_.data() + at;
+  }
 
-  [[nodiscard]] std::string take() { return std::move(buffer_); }
-  [[nodiscard]] const std::string& buffer() const { return buffer_; }
+  /// Stores `value` little-endian at `out` (no bounds check).
+  template <typename T>
+  static void put(char* out, T value) {
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(out, &value, sizeof value);
+    } else {
+      for (std::size_t i = 0; i < sizeof value; ++i) {
+        out[i] = static_cast<char>(static_cast<std::uint64_t>(value) >> (8 * i));
+      }
+    }
+  }
 
  private:
   void raw(const void* data, std::size_t size) {
@@ -69,7 +91,7 @@ class ByteWriter {
     }
   }
 
-  std::string buffer_;
+  std::string& buffer_;
 };
 
 /// Bounds-checked reader. The first overrun latches `failed()`; subsequent
@@ -139,10 +161,14 @@ class ByteReader {
 };
 
 // --- section payload codecs ---------------------------------------------------
+// One codec per section kind, each appending to a caller-supplied writer.
+// image_to_binary feeds them a decoded SnapshotImage; IncrementalEncoder
+// feeds them live component state. Both therefore produce the same bytes.
 
-std::string encode_kernel(const SnapshotImage& image) {
-  const sim::Kernel::Checkpoint& checkpoint = image.kernel;
-  ByteWriter out;
+/// `label_of(i)` names the process of checkpoint.timed[i].
+template <typename LabelOf>
+void encode_kernel(ByteWriter& out, const sim::Kernel::Checkpoint& checkpoint,
+                   LabelOf label_of) {
   out.u64(checkpoint.now_ps);
   out.u64(checkpoint.sequence);
   out.u64(checkpoint.delta_count);
@@ -153,14 +179,13 @@ std::string encode_kernel(const SnapshotImage& image) {
     out.u64(checkpoint.timed[i].at_ps);
     out.u64(checkpoint.timed[i].sequence);
     out.u32(checkpoint.timed[i].process);
-    out.str(i < image.kernel_timed_labels.size() ? image.kernel_timed_labels[i] : "");
+    out.str(label_of(i));
   }
   out.u32(static_cast<std::uint32_t>(checkpoint.expectations.size()));
   for (const auto& expectation : checkpoint.expectations) {
     out.str(expectation.label);
     out.u64(expectation.outstanding);
   }
-  return out.take();
 }
 
 bool decode_kernel(ByteReader& in, sim::Kernel::Checkpoint& out,
@@ -189,21 +214,32 @@ bool decode_kernel(ByteReader& in, sim::Kernel::Checkpoint& out,
   return !in.failed();
 }
 
-std::string encode_fault_plan(const SnapshotImage::FaultPlanState& plan) {
-  ByteWriter out;
+void encode_fault_site(ByteWriter& out, sim::FaultSite site,
+                       const sim::FaultPlan::SiteState& state) {
+  out.u8(static_cast<std::uint8_t>(site));
+  out.u64(state.rng_state);
+  out.u64(state.counters.consults);
+  out.u64(state.counters.errors);
+  out.u64(state.counters.drops);
+  out.u64(state.counters.delays);
+  out.u64(state.counters.bit_flips);
+  out.u64(state.counters.glitches);
+}
+
+void encode_fault_plan(ByteWriter& out, const SnapshotImage::FaultPlanState& plan) {
   out.u64(plan.seed);
   out.u32(static_cast<std::uint32_t>(plan.sites.size()));
-  for (const auto& [site, state] : plan.sites) {
-    out.u8(static_cast<std::uint8_t>(site));
-    out.u64(state.rng_state);
-    out.u64(state.counters.consults);
-    out.u64(state.counters.errors);
-    out.u64(state.counters.drops);
-    out.u64(state.counters.delays);
-    out.u64(state.counters.bit_flips);
-    out.u64(state.counters.glitches);
+  for (const auto& [site, state] : plan.sites) encode_fault_site(out, site, state);
+}
+
+/// Live edition: every site, in site order (as capture_image records them).
+void encode_fault_plan(ByteWriter& out, const sim::FaultPlan& plan) {
+  out.u64(plan.seed());
+  out.u32(static_cast<std::uint32_t>(sim::kFaultSiteCount));
+  for (std::size_t i = 0; i < sim::kFaultSiteCount; ++i) {
+    const auto site = static_cast<sim::FaultSite>(i);
+    encode_fault_site(out, site, plan.site_state(site));
   }
-  return out.take();
 }
 
 bool decode_fault_plan(ByteReader& in, SnapshotImage::FaultPlanState& out) {
@@ -225,15 +261,50 @@ bool decode_fault_plan(ByteReader& in, SnapshotImage::FaultPlanState& out) {
   return !in.failed();
 }
 
-std::string encode_recorder(const SnapshotImage::RecorderState& recorder) {
-  ByteWriter out;
-  out.u64(recorder.total);
-  out.u32(static_cast<std::uint32_t>(recorder.events.size()));
-  for (const sim::RecordedEvent& event : recorder.events) {
-    out.u64(event.at_ps);
-    out.u32(event.process);
+/// The 12-byte recorder head: u64 running total + u32 retained count.
+void put_recorder_head(char* out, std::uint64_t total, std::size_t count) {
+  ByteWriter::put(out, total);
+  ByteWriter::put(out + 8, static_cast<std::uint32_t>(count));
+}
+
+/// Appends entries [from, size) of `log` as 12-byte records (u64 at_ps +
+/// u32 process), in one resize.
+void encode_recorder_entries(ByteWriter& out, const sim::EventRecorder::LogView& log,
+                             std::size_t from) {
+  const std::size_t split = std::min(from, log.older.size());
+  const std::span<const sim::RecordedEvent> runs[] = {log.older.subspan(split),
+                                                      log.newer.subspan(from - split)};
+  char* cursor = out.extend((log.size() - from) * kRecorderEntryBytes);
+  for (const std::span<const sim::RecordedEvent> run : runs) {
+    for (const sim::RecordedEvent& event : run) {
+      ByteWriter::put(cursor, event.at_ps);
+      ByteWriter::put(cursor + 8, event.process);
+      cursor += kRecorderEntryBytes;
+    }
   }
-  return out.take();
+}
+
+void encode_recorder(ByteWriter& out, std::uint64_t total, const sim::EventRecorder::LogView& log) {
+  put_recorder_head(out.extend(kRecorderHeadBytes), total, log.size());
+  encode_recorder_entries(out, log, 0);
+}
+
+/// True when recorder payload `current` is `previous` plus whole entries and
+/// the running total grew by exactly that many — the splice invariant the
+/// decoder checks. A ring overwrite or a rewritten log breaks it.
+bool extends_recorder(std::string_view previous, std::string_view current) {
+  if (current.size() <= previous.size() || previous.size() < kRecorderHeadBytes) return false;
+  const std::size_t kept = previous.size() - kRecorderHeadBytes;
+  if (current.compare(kRecorderHeadBytes, kept, previous, kRecorderHeadBytes, kept) != 0) {
+    return false;
+  }
+  ByteReader previous_head(previous);
+  ByteReader current_head(current);
+  const std::uint64_t previous_total = previous_head.u64();
+  const std::uint64_t current_total = current_head.u64();
+  return current_total >= previous_total &&
+         current_total - previous_total ==
+             (current.size() - previous.size()) / kRecorderEntryBytes;
 }
 
 bool decode_recorder(ByteReader& in, SnapshotImage::RecorderState& out) {
@@ -272,8 +343,7 @@ bool decode_event_records(ByteReader& in,
   return !in.failed();
 }
 
-std::string encode_machine(const statechart::InstanceSnapshot& snapshot) {
-  ByteWriter out;
+void encode_machine(ByteWriter& out, const statechart::InstanceSnapshot& snapshot) {
   out.boolean(snapshot.started);
   out.boolean(snapshot.terminated);
   out.u64(snapshot.events_processed);
@@ -302,7 +372,6 @@ std::string encode_machine(const statechart::InstanceSnapshot& snapshot) {
   }
   encode_event_records(out, snapshot.queue);
   encode_event_records(out, snapshot.deferred);
-  return out.take();
 }
 
 bool decode_machine(ByteReader& in, statechart::InstanceSnapshot& out) {
@@ -343,8 +412,7 @@ bool decode_machine(ByteReader& in, statechart::InstanceSnapshot& out) {
   return !in.failed();
 }
 
-std::string encode_bus(const sim::MemoryMappedBus::Checkpoint& checkpoint) {
-  ByteWriter out;
+void encode_bus(ByteWriter& out, const sim::MemoryMappedBus::Checkpoint& checkpoint) {
   out.u64(checkpoint.stats.reads);
   out.u64(checkpoint.stats.writes);
   out.u64(checkpoint.stats.errors);
@@ -355,7 +423,6 @@ std::string encode_bus(const sim::MemoryMappedBus::Checkpoint& checkpoint) {
   out.u64(checkpoint.stats.completions);
   out.u64(checkpoint.stats.dropped_completions);
   out.u64(checkpoint.last_completion_ps);
-  return out.take();
 }
 
 bool decode_bus(ByteReader& in, sim::MemoryMappedBus::Checkpoint& out) {
@@ -372,15 +439,13 @@ bool decode_bus(ByteReader& in, sim::MemoryMappedBus::Checkpoint& out) {
   return !in.failed();
 }
 
-std::string encode_watchdog(const sim::Watchdog::Checkpoint& checkpoint) {
-  ByteWriter out;
+void encode_watchdog(ByteWriter& out, const sim::Watchdog::Checkpoint& checkpoint) {
   out.boolean(checkpoint.armed);
   out.boolean(checkpoint.tripped);
   out.boolean(checkpoint.check_pending);
   out.u64(checkpoint.trip_at_ps);
   out.u64(checkpoint.trips);
   out.u64(checkpoint.kicks);
-  return out.take();
 }
 
 bool decode_watchdog(ByteReader& in, sim::Watchdog::Checkpoint& out) {
@@ -393,8 +458,7 @@ bool decode_watchdog(ByteReader& in, sim::Watchdog::Checkpoint& out) {
   return !in.failed();
 }
 
-std::string encode_supervisor(const sim::Supervisor::Checkpoint& checkpoint) {
-  ByteWriter out;
+void encode_supervisor(ByteWriter& out, const sim::Supervisor::Checkpoint& checkpoint) {
   out.boolean(checkpoint.suspended);
   out.boolean(checkpoint.gave_up);
   out.str(checkpoint.give_up_reason);
@@ -414,7 +478,6 @@ std::string encode_supervisor(const sim::Supervisor::Checkpoint& checkpoint) {
     out.u64(pending.due_ps);
     out.u32(pending.child);
   }
-  return out.take();
 }
 
 bool decode_supervisor(ByteReader& in, sim::Supervisor::Checkpoint& out) {
@@ -444,8 +507,7 @@ bool decode_supervisor(ByteReader& in, sim::Supervisor::Checkpoint& out) {
   return !in.failed();
 }
 
-std::string encode_breaker(const sim::CircuitBreaker::Checkpoint& checkpoint) {
-  ByteWriter out;
+void encode_breaker(ByteWriter& out, const sim::CircuitBreaker::Checkpoint& checkpoint) {
   out.u8(checkpoint.state);
   out.u64(checkpoint.outcomes);
   out.u32(checkpoint.cursor);
@@ -463,7 +525,6 @@ std::string encode_breaker(const sim::CircuitBreaker::Checkpoint& checkpoint) {
   out.u64(checkpoint.stats.closes);
   out.u64(checkpoint.stats.probes);
   out.u64(checkpoint.stats.probe_failures);
-  return out.take();
 }
 
 bool decode_breaker(ByteReader& in, sim::CircuitBreaker::Checkpoint& out) {
@@ -487,12 +548,10 @@ bool decode_breaker(ByteReader& in, sim::CircuitBreaker::Checkpoint& out) {
   return !in.failed();
 }
 
-std::string encode_health(const sim::HealthRegistry::Checkpoint& checkpoint) {
-  ByteWriter out;
+void encode_health(ByteWriter& out, const sim::HealthRegistry::Checkpoint& checkpoint) {
   out.u64(checkpoint.transitions);
   out.u32(static_cast<std::uint32_t>(checkpoint.health.size()));
   for (std::uint8_t value : checkpoint.health) out.u8(value);
-  return out.take();
 }
 
 bool decode_health(ByteReader& in, sim::HealthRegistry::Checkpoint& out) {
@@ -502,14 +561,13 @@ bool decode_health(ByteReader& in, sim::HealthRegistry::Checkpoint& out) {
   return !in.failed();
 }
 
-std::string encode_bank(const std::vector<std::pair<std::string, std::uint64_t>>& values) {
-  ByteWriter out;
+void encode_bank(ByteWriter& out,
+                 const std::vector<std::pair<std::string, std::uint64_t>>& values) {
   out.u32(static_cast<std::uint32_t>(values.size()));
   for (const auto& [key, value] : values) {
     out.str(key);
     out.u64(value);
   }
-  return out.take();
 }
 
 bool decode_bank(ByteReader& in, std::vector<std::pair<std::string, std::uint64_t>>& out) {
@@ -529,36 +587,61 @@ struct FlatSection {
   std::string payload;
 };
 
+template <typename Encode>
+void add_section(std::vector<FlatSection>& sections, SectionKind kind, std::string_view name,
+                 Encode encode) {
+  FlatSection& section = sections.emplace_back(FlatSection{kind, std::string(name), {}});
+  ByteWriter out(section.payload);
+  encode(out);
+}
+
+/// The image's sections in file order — the same order in which
+/// IncrementalEncoder::encode streams live targets.
 std::vector<FlatSection> flatten_image(const SnapshotImage& image) {
   std::vector<FlatSection> sections;
   sections.reserve(image.section_count());
-  sections.push_back({SectionKind::kKernel, "", encode_kernel(image)});
+  add_section(sections, SectionKind::kKernel, "", [&](ByteWriter& out) {
+    encode_kernel(out, image.kernel, [&](std::size_t i) -> std::string_view {
+      if (i < image.kernel_timed_labels.size()) return image.kernel_timed_labels[i];
+      return {};
+    });
+  });
   if (image.fault_plan) {
-    sections.push_back({SectionKind::kFaultPlan, "", encode_fault_plan(*image.fault_plan)});
+    add_section(sections, SectionKind::kFaultPlan, "",
+                [&](ByteWriter& out) { encode_fault_plan(out, *image.fault_plan); });
   }
   if (image.recorder) {
-    sections.push_back({SectionKind::kRecorder, "", encode_recorder(*image.recorder)});
+    add_section(sections, SectionKind::kRecorder, "", [&](ByteWriter& out) {
+      encode_recorder(out, image.recorder->total, {image.recorder->events, {}});
+    });
   }
   for (const auto& entry : image.machines) {
-    sections.push_back({SectionKind::kMachine, entry.name, encode_machine(entry.state)});
+    add_section(sections, SectionKind::kMachine, entry.name,
+                [&](ByteWriter& out) { encode_machine(out, entry.state); });
   }
   for (const auto& entry : image.buses) {
-    sections.push_back({SectionKind::kBus, entry.name, encode_bus(entry.state)});
+    add_section(sections, SectionKind::kBus, entry.name,
+                [&](ByteWriter& out) { encode_bus(out, entry.state); });
   }
   for (const auto& entry : image.watchdogs) {
-    sections.push_back({SectionKind::kWatchdog, entry.name, encode_watchdog(entry.state)});
+    add_section(sections, SectionKind::kWatchdog, entry.name,
+                [&](ByteWriter& out) { encode_watchdog(out, entry.state); });
   }
   for (const auto& entry : image.supervisors) {
-    sections.push_back({SectionKind::kSupervisor, entry.name, encode_supervisor(entry.state)});
+    add_section(sections, SectionKind::kSupervisor, entry.name,
+                [&](ByteWriter& out) { encode_supervisor(out, entry.state); });
   }
   for (const auto& entry : image.breakers) {
-    sections.push_back({SectionKind::kBreaker, entry.name, encode_breaker(entry.state)});
+    add_section(sections, SectionKind::kBreaker, entry.name,
+                [&](ByteWriter& out) { encode_breaker(out, entry.state); });
   }
   for (const auto& entry : image.health) {
-    sections.push_back({SectionKind::kHealth, entry.name, encode_health(entry.state)});
+    add_section(sections, SectionKind::kHealth, entry.name,
+                [&](ByteWriter& out) { encode_health(out, entry.state); });
   }
   for (const auto& entry : image.banks) {
-    sections.push_back({SectionKind::kBank, entry.name, encode_bank(entry.state)});
+    add_section(sections, SectionKind::kBank, entry.name,
+                [&](ByteWriter& out) { encode_bank(out, entry.state); });
   }
   return sections;
 }
@@ -673,41 +756,56 @@ struct FrameEntry {
   std::string payload;
 };
 
-std::string encode_file(std::uint32_t flags, std::uint64_t seq, std::uint64_t base_seq,
-                        const std::vector<FrameEntry>& entries) {
-  ByteWriter out;
-  out.bytes(kBinaryMagic);
-  out.u32(static_cast<std::uint32_t>(kSnapshotVersion));
-  out.u32(flags);
-  out.u64(seq);
-  out.u64(base_seq);
-  out.u32(static_cast<std::uint32_t>(entries.size()));
-  out.u64(fnv1a(out.buffer()));
-  for (const FrameEntry& entry : entries) {
+/// One frame to write; views into buffers the caller keeps alive.
+struct FrameRef {
+  SectionKind kind = SectionKind::kKernel;
+  std::string_view name;
+  std::uint8_t entry_flags = kEntryPayload;
+  std::string_view payload;
+};
+
+/// Magic, version, flags, seq, base_seq, section count, header checksum.
+constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 8 + 8 + 4 + 8;
+/// Kind, name length, entry flags, payload length, frame checksum.
+constexpr std::size_t kFrameFixedBytes = 1 + 2 + 1 + 4 + 8;
+
+/// Writes a complete file into `out` (cleared, then reserved once): frames
+/// `frame_at(0) .. frame_at(count - 1)` between header and trailer.
+template <typename FrameAt>
+void encode_file(std::string& out, std::uint32_t flags, std::uint64_t seq,
+                 std::uint64_t base_seq, std::size_t count, FrameAt frame_at) {
+  std::size_t size = kHeaderBytes + kBinaryTrailer.size();
+  for (std::size_t i = 0; i < count; ++i) {
+    const FrameRef frame = frame_at(i);
+    size += kFrameFixedBytes + frame.name.size() + frame.payload.size();
+  }
+  out.clear();
+  out.reserve(size);
+  ByteWriter writer(out);
+  writer.bytes(kBinaryMagic);
+  writer.u32(static_cast<std::uint32_t>(kSnapshotVersion));
+  writer.u32(flags);
+  writer.u64(seq);
+  writer.u64(base_seq);
+  writer.u32(static_cast<std::uint32_t>(count));
+  writer.u64(fnv1a(out));
+  for (std::size_t i = 0; i < count; ++i) {
+    const FrameRef frame = frame_at(i);
     // The frame checksum covers the frame metadata AND the payload, so a
     // bit-flip anywhere in the frame — kind, name, flags, lengths, payload
-    // — fails this section's validation, not some later decode step.
-    ByteWriter meta;
-    meta.u8(static_cast<std::uint8_t>(entry.kind));
-    meta.u16(static_cast<std::uint16_t>(entry.name.size()));
-    meta.bytes(entry.name);
-    meta.u8(entry.entry_flags);
-    meta.u32(static_cast<std::uint32_t>(entry.payload.size()));
-    out.bytes(meta.buffer());
-    out.u64(fnv1a(entry.payload, fnv1a(meta.buffer())));
-    out.bytes(entry.payload);
+    // — fails this section's validation, not some later decode step. The
+    // metadata is hashed where it was just written.
+    const std::size_t meta_start = out.size();
+    writer.u8(static_cast<std::uint8_t>(frame.kind));
+    writer.u16(static_cast<std::uint16_t>(frame.name.size()));
+    writer.bytes(frame.name);
+    writer.u8(frame.entry_flags);
+    writer.u32(static_cast<std::uint32_t>(frame.payload.size()));
+    const std::uint64_t meta_hash = fnv1a(std::string_view(out).substr(meta_start));
+    writer.u64(fnv1a(frame.payload, meta_hash));
+    writer.bytes(frame.payload);
   }
-  out.bytes(kBinaryTrailer);
-  return out.take();
-}
-
-std::vector<FrameEntry> payload_frames(const std::vector<FlatSection>& sections) {
-  std::vector<FrameEntry> entries;
-  entries.reserve(sections.size());
-  for (const FlatSection& section : sections) {
-    entries.push_back({section.kind, section.name, kEntryPayload, section.payload});
-  }
-  return entries;
+  writer.bytes(kBinaryTrailer);
 }
 
 bool parse_header(ByteReader& in, std::string_view data, BinarySnapshotInfo& info,
@@ -828,12 +926,14 @@ bool splice_recorder_append(const std::string& base, std::string_view append,
     sink.error("binary-snapshot", "malformed recorder append frame");
     return false;
   }
-  ByteWriter merged;
-  merged.u64(new_total);
-  merged.u32(base_count + appended);
-  merged.bytes(std::string_view(base).substr(kRecorderHeadBytes));
-  merged.bytes(append.substr(kRecorderHeadBytes));
-  out = merged.take();
+  std::string merged;
+  merged.reserve(base.size() + append.size() - kRecorderHeadBytes);
+  ByteWriter writer(merged);
+  writer.u64(new_total);
+  writer.u32(base_count + appended);
+  writer.bytes(std::string_view(base).substr(kRecorderHeadBytes));
+  writer.bytes(append.substr(kRecorderHeadBytes));
+  out = std::move(merged);
   return true;
 }
 
@@ -947,7 +1047,12 @@ bool read_binary_info(std::string_view data, BinarySnapshotInfo& info,
 }
 
 std::string image_to_binary(const SnapshotImage& image) {
-  return encode_file(0, 0, 0, payload_frames(flatten_image(image)));
+  const std::vector<FlatSection> sections = flatten_image(image);
+  std::string out;
+  encode_file(out, 0, 0, 0, sections.size(), [&](std::size_t i) {
+    return FrameRef{sections[i].kind, sections[i].name, kEntryPayload, sections[i].payload};
+  });
+  return out;
 }
 
 bool image_from_binary(std::string_view data, SnapshotImage& image,
@@ -1032,95 +1137,221 @@ bool xml_to_binary(std::string_view xml, std::string& binary, support::Diagnosti
   return true;
 }
 
+// --- incremental encoding ----------------------------------------------------
+
+namespace {
+
+/// Calls visit(kind, name, encode) for every section the targets serialize,
+/// in file order (flatten_image's order). encode(ByteWriter&) appends the
+/// section's payload from live state, using `kernel` (already captured)
+/// and `machine` (scratch). The recorder's encode writes nothing:
+/// IncrementalEncoder streams that section itself.
+template <typename Visit>
+void visit_live_sections(const SnapshotTargets& targets, const sim::Kernel::Checkpoint& kernel,
+                         statechart::InstanceSnapshot& machine, Visit visit) {
+  visit(SectionKind::kKernel, std::string_view(), [&](ByteWriter& out) {
+    encode_kernel(out, kernel, [&](std::size_t i) -> std::string_view {
+      return targets.kernel->process_label(kernel.timed[i].process);
+    });
+  });
+  if (targets.fault_plan != nullptr) {
+    visit(SectionKind::kFaultPlan, std::string_view(),
+          [&](ByteWriter& out) { encode_fault_plan(out, *targets.fault_plan); });
+  }
+  if (targets.recorder != nullptr) {
+    visit(SectionKind::kRecorder, std::string_view(), [](ByteWriter&) {});
+  }
+  for (const MachineTarget& target : targets.machines) {
+    visit(SectionKind::kMachine, target.name, [&](ByteWriter& out) {
+      target.instance->capture_into(machine);
+      encode_machine(out, machine);
+    });
+  }
+  for (const BusTarget& target : targets.buses) {
+    visit(SectionKind::kBus, target.name,
+          [&](ByteWriter& out) { encode_bus(out, target.bus->capture_checkpoint()); });
+  }
+  for (const WatchdogTarget& target : targets.watchdogs) {
+    visit(SectionKind::kWatchdog, target.name, [&](ByteWriter& out) {
+      encode_watchdog(out, target.watchdog->capture_checkpoint());
+    });
+  }
+  for (const SupervisorTarget& target : targets.supervisors) {
+    visit(SectionKind::kSupervisor, target.name, [&](ByteWriter& out) {
+      encode_supervisor(out, target.supervisor->capture_checkpoint());
+    });
+  }
+  for (const BreakerTarget& target : targets.breakers) {
+    visit(SectionKind::kBreaker, target.name, [&](ByteWriter& out) {
+      encode_breaker(out, target.breaker->capture_checkpoint());
+    });
+  }
+  for (const HealthTarget& target : targets.health) {
+    visit(SectionKind::kHealth, target.name, [&](ByteWriter& out) {
+      encode_health(out, target.registry->capture_checkpoint());
+    });
+  }
+  for (const ValueBank& bank : targets.banks) {
+    visit(SectionKind::kBank, bank.name,
+          [&](ByteWriter& out) { encode_bank(out, bank.capture()); });
+  }
+}
+
+}  // namespace
+
+bool IncrementalEncoder::reshape(const SnapshotTargets& targets) {
+  const std::size_t previous = sections_.size();
+  std::size_t count = 0;
+  bool reshaped = false;
+  visit_live_sections(targets, kernel_, machine_,
+                      [&](SectionKind kind, std::string_view name, const auto&) {
+                        if (count == sections_.size()) sections_.emplace_back();
+                        Section& section = sections_[count];
+                        if (count++ >= previous || section.kind != kind ||
+                            section.name != name) {
+                          reshaped = true;
+                          section.kind = kind;
+                          section.name = name;
+                        }
+                      });
+  if (count != previous) {
+    reshaped = true;
+    sections_.resize(count);
+  }
+  // The recorder's payload may now sit in another slot (or none).
+  if (reshaped) recorder_ = nullptr;
+  return reshaped;
+}
+
+std::size_t IncrementalEncoder::settle(Section& section, bool delta, bool changed) {
+  if (changed) {
+    section.hashed = false;
+  } else if (delta) {
+    // Reference frame: the payload is the expected hash of the base's
+    // payload, so drift is caught when the chain is resolved. Unchanged
+    // bytes keep the hash computed when they were first referenced.
+    if (!section.hashed) {
+      section.hash = fnv1a(section.payload);
+      section.hashed = true;
+    }
+    ByteWriter::put(section.reference, section.hash);
+    section.entry_flags = kEntryReference;
+    return 0;
+  }
+  section.entry_flags = kEntryPayload;
+  return 1;
+}
+
+std::size_t IncrementalEncoder::settle_encoded(Section& section, bool delta) {
+  const bool changed = section.next != section.payload;
+  if (changed) section.payload.swap(section.next);
+  return settle(section, delta, changed);
+}
+
+void IncrementalEncoder::stage_append(std::uint64_t total, std::string_view entries) {
+  append_.clear();
+  ByteWriter writer(append_);
+  put_recorder_head(writer.extend(kRecorderHeadBytes), total,
+                    entries.size() / kRecorderEntryBytes);
+  writer.bytes(entries);
+}
+
+std::size_t IncrementalEncoder::stream_recorder(Section& section,
+                                                const sim::EventRecorder& recorder,
+                                                bool delta) {
+  const sim::EventRecorder::LogView log = recorder.retained();
+  const std::uint64_t total = recorder.total_events();
+  const std::size_t count = log.size();
+  // Same log lineage, and size and total grew in step: nothing but appends
+  // happened since `section.payload` was written (see EventRecorder::lineage).
+  const bool appended_only = recorder_ == &recorder && recorder_lineage_ == recorder.lineage() &&
+                             count >= recorder_count_ && total >= recorder_total_ &&
+                             total - recorder_total_ == count - recorder_count_;
+  recorder_ = nullptr;  // Re-armed below once `section.payload` is current.
+  std::size_t dirty = 0;
+  if (!appended_only) {
+    // Rewritten log, ring overwrite, new recorder or lost chain: encode the
+    // whole log and classify it against the base byte-for-byte.
+    section.next.clear();
+    ByteWriter writer(section.next);
+    encode_recorder(writer, total, log);
+    if (delta && extends_recorder(section.payload, section.next)) {
+      stage_append(total, std::string_view(section.next).substr(section.payload.size()));
+      section.payload.swap(section.next);
+      section.hashed = false;
+      section.entry_flags = kEntryRecorderAppend;
+      dirty = 1;
+    } else {
+      dirty = settle_encoded(section, delta);
+    }
+  } else if (count == recorder_count_) {
+    dirty = settle(section, delta, /*changed=*/false);
+  } else {
+    // Only new entries: patch the head, append them, ship just them.
+    const std::size_t base_size = section.payload.size();
+    put_recorder_head(section.payload.data(), total, count);
+    ByteWriter writer(section.payload);
+    encode_recorder_entries(writer, log, recorder_count_);
+    section.hashed = false;
+    section.entry_flags = kEntryPayload;
+    if (delta) {
+      stage_append(total, std::string_view(section.payload).substr(base_size));
+      section.entry_flags = kEntryRecorderAppend;
+    }
+    dirty = 1;
+  }
+  recorder_ = &recorder;
+  recorder_lineage_ = recorder.lineage();
+  recorder_count_ = count;
+  recorder_total_ = total;
+  return dirty;
+}
+
 bool IncrementalEncoder::encode(const SnapshotTargets& targets, bool force_full, Result& out,
                                 support::DiagnosticSink& sink) {
   const auto started = std::chrono::steady_clock::now();
-  SnapshotImage image;
-  if (!capture_image(targets, image, sink)) return false;
-  std::vector<FlatSection> sections = flatten_image(image);
+  if (!capture_kernel(targets, kernel_, sink)) return false;
 
   // Delta encoding only makes sense against an identically-shaped base.
-  bool same_shape = !previous_.empty() && previous_.size() == sections.size();
-  if (same_shape) {
-    for (std::size_t i = 0; i < sections.size(); ++i) {
-      if (previous_[i].kind != sections[i].kind || previous_[i].name != sections[i].name) {
-        same_shape = false;
-        break;
-      }
-    }
-  }
+  const bool reshaped = reshape(targets);
+  const bool delta = have_base_ && !reshaped && !force_full;
+  have_base_ = false;  // Until every section below holds this checkpoint.
 
-  Result result;
-  result.seq = next_seq_++;
-  result.sections_total = sections.size();
-  if (force_full || !same_shape) {
-    result.delta = false;
-    result.base_seq = 0;
-    result.sections_dirty = sections.size();
-    result.bytes = encode_file(0, result.seq, 0, payload_frames(sections));
-  } else {
-    result.delta = true;
-    result.base_seq = last_seq_;
-    std::vector<FrameEntry> entries;
-    entries.reserve(sections.size());
-    for (std::size_t i = 0; i < sections.size(); ++i) {
-      const std::string& previous = previous_[i].payload;
-      const std::string& current = sections[i].payload;
-      FrameEntry entry;
-      entry.kind = sections[i].kind;
-      entry.name = sections[i].name;
-      bool appendable = false;
-      if (sections[i].kind == SectionKind::kRecorder && current.size() > previous.size() &&
-          previous.size() >= kRecorderHeadBytes &&
-          current.compare(kRecorderHeadBytes, previous.size() - kRecorderHeadBytes, previous,
-                          kRecorderHeadBytes, previous.size() - kRecorderHeadBytes) == 0) {
-        // The splice invariant the decoder checks: the total grew by exactly
-        // the number of appended entries (a ring drop breaks this).
-        ByteReader previous_head(previous);
-        ByteReader current_head(current);
-        const std::uint64_t previous_total = previous_head.u64();
-        const std::uint64_t current_total = current_head.u64();
-        appendable = current_total >= previous_total &&
-                     current_total - previous_total ==
-                         (current.size() - previous.size()) / kRecorderEntryBytes;
-      }
-      if (current == previous) {
-        // Reference frame: the payload is the expected hash of the base's
-        // payload, so drift is caught when the chain is resolved.
-        ByteWriter expected;
-        expected.u64(fnv1a(current));
-        entry.entry_flags = kEntryReference;
-        entry.payload = expected.take();
-      } else if (appendable) {
-        // The log only grew: ship just the new entries. (A ring wraparound
-        // breaks the prefix property and falls through to a full payload.)
-        ByteWriter append;
-        append.bytes(std::string_view(current).substr(0, kRecorderHeadBytes - 4));
-        append.u32(static_cast<std::uint32_t>((current.size() - previous.size()) /
-                                              kRecorderEntryBytes));
-        append.bytes(std::string_view(current).substr(previous.size()));
-        entry.entry_flags = kEntryRecorderAppend;
-        entry.payload = append.take();
-        ++result.sections_dirty;
-      } else {
-        entry.entry_flags = kEntryPayload;
-        entry.payload = current;
-        ++result.sections_dirty;
-      }
-      entries.push_back(std::move(entry));
-    }
-    result.bytes = encode_file(kFlagDelta, result.seq, result.base_seq, entries);
-  }
+  std::size_t next = 0;
+  std::size_t dirty = 0;
+  visit_live_sections(targets, kernel_, machine_,
+                      [&](SectionKind kind, std::string_view, const auto& encode_payload) {
+                        Section& section = sections_[next++];
+                        if (kind == SectionKind::kRecorder) {
+                          dirty += stream_recorder(section, *targets.recorder, delta);
+                          return;
+                        }
+                        section.next.clear();
+                        ByteWriter writer(section.next);
+                        encode_payload(writer);
+                        dirty += settle_encoded(section, delta);
+                      });
+  have_base_ = true;
 
-  previous_.clear();
-  previous_.reserve(sections.size());
-  for (FlatSection& section : sections) {
-    previous_.push_back({section.kind, std::move(section.name), std::move(section.payload)});
-  }
-  last_seq_ = result.seq;
-  targets.kernel->note_snapshot_encode(result.bytes.size(), result.sections_dirty,
-                                       result.sections_total, elapsed_ns(started));
-  out = std::move(result);
+  out.seq = next_seq_++;
+  out.delta = delta;
+  out.base_seq = delta ? last_seq_ : 0;
+  out.sections_dirty = dirty;
+  out.sections_total = sections_.size();
+  encode_file(out.bytes, delta ? kFlagDelta : 0, out.seq, out.base_seq, sections_.size(),
+              [&](std::size_t i) {
+                const Section& section = sections_[i];
+                std::string_view payload = section.payload;
+                if (section.entry_flags == kEntryReference) {
+                  payload = std::string_view(section.reference, sizeof section.reference);
+                } else if (section.entry_flags == kEntryRecorderAppend) {
+                  payload = append_;
+                }
+                return FrameRef{section.kind, section.name, section.entry_flags, payload};
+              });
+  last_seq_ = out.seq;
+  targets.kernel->note_snapshot_encode(out.bytes.size(), out.sections_dirty, out.sections_total,
+                                       elapsed_ns(started));
   return true;
 }
 

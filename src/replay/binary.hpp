@@ -39,9 +39,11 @@
 // of the base's payload, so a drifted base is caught at resolve time.
 // The event-recorder section — which only ever grows during a run — gets a
 // dedicated *append* frame carrying just the new entries, spliced onto the
-// base payload byte-for-byte. IncrementalEncoder detects all three cases by
-// comparing encoded payload bytes, with cheap component revision()
-// fingerprints as the conservative fast path upstream.
+// base payload byte-for-byte. IncrementalEncoder streams each section from
+// the live targets into buffers it keeps and picks the frame by comparing
+// the new bytes with the previous checkpoint's; the recorder section is
+// extended in place by its new entries instead of re-encoded (see
+// IncrementalEncoder).
 #pragma once
 
 #include <cstdint>
@@ -132,6 +134,23 @@ struct BinarySnapshotInfo {
 /// checkpoint, so a section that merely *ticked* without changing state
 /// still dedups to a reference frame. If the section set itself changes
 /// (targets added/removed), the encoder falls back to a full snapshot.
+///
+/// Each encode streams the sections straight from the live targets (no
+/// SnapshotImage) into per-section buffers kept across calls, so its cost
+/// follows the state that changed, not the state that exists:
+///  * every section is double-buffered — the new bytes go to a spare buffer
+///    that is swapped with the previous payload only when they differ;
+///  * the recorder section, which only grows during a run, is patched in
+///    place: while the recorder's lineage holds and its size and total grew
+///    in step, only the new 12-byte entries are encoded and the 12-byte
+///    head is rewritten. A ring overwrite, restore_log, begin_verify, a new
+///    recorder, reset()/resume_after() or a shape change re-encodes the
+///    whole log and classifies it byte-for-byte instead;
+///  * a reference frame reuses the payload hash computed when that payload
+///    was first referenced.
+/// Every frame written is byte-identical to what the image-based codec
+/// writes for the same state (capture_image + image_to_binary, for a full
+/// snapshot).
 class IncrementalEncoder {
  public:
   struct Result {
@@ -143,15 +162,17 @@ class IncrementalEncoder {
     std::size_t sections_total = 0;
   };
 
-  /// Captures the targets (same refusal rules as save_snapshot) and encodes
-  /// the next checkpoint in the chain. `force_full` starts a new base.
-  /// Updates the kernel's SnapshotStats.
+  /// Captures the targets (same refusal rules as save_snapshot, see
+  /// capture_kernel) and encodes the next checkpoint in the chain into
+  /// `out` — reusing `out.bytes`' capacity; `out` is untouched on refusal.
+  /// `force_full` starts a new base. Updates the kernel's SnapshotStats.
   [[nodiscard]] bool encode(const SnapshotTargets& targets, bool force_full, Result& out,
                             support::DiagnosticSink& sink);
 
   /// Forgets the chain; the next encode is a full snapshot.
   void reset() {
-    previous_.clear();
+    have_base_ = false;
+    recorder_ = nullptr;
     last_seq_ = 0;
   }
 
@@ -167,14 +188,47 @@ class IncrementalEncoder {
   [[nodiscard]] std::uint64_t last_seq() const { return last_seq_; }
 
  private:
-  struct PrevSection {
-    SectionKind kind;
+  /// One section's encode state.
+  struct Section {
+    SectionKind kind = SectionKind::kKernel;
     std::string name;
-    std::string payload;
+    std::string payload;  ///< The previous checkpoint's bytes (the delta base).
+    std::string next;     ///< Spare buffer the next encode writes into.
+    std::uint8_t entry_flags = 0;  ///< Frame kind chosen by the latest encode.
+    bool hashed = false;           ///< `hash` is the FNV-1a of `payload`.
+    std::uint64_t hash = 0;
+    char reference[8] = {};  ///< Reference frame payload: `hash`, little-endian.
   };
-  std::vector<PrevSection> previous_;  ///< Empty = no base yet.
+
+  /// Matches sections_ to the targets' section list; on a mismatch rewrites
+  /// it and returns true (the next encode must then be a full snapshot).
+  bool reshape(const SnapshotTargets& targets);
+  /// Picks the frame for a section whose current bytes are in `payload`;
+  /// returns 1 when it counts as dirty.
+  std::size_t settle(Section& section, bool delta, bool changed);
+  /// settle() for a section freshly encoded into `next`.
+  std::size_t settle_encoded(Section& section, bool delta);
+  std::size_t stream_recorder(Section& section, const sim::EventRecorder& recorder, bool delta);
+  /// Fills append_ with an append-frame payload: head + `entries`.
+  void stage_append(std::uint64_t total, std::string_view entries);
+
+  std::vector<Section> sections_;
+  bool have_base_ = false;  ///< sections_' payloads form the chain's tip.
   std::uint64_t next_seq_ = 1;
   std::uint64_t last_seq_ = 0;
+
+  // What the recorder section's payload encodes: `recorder_count_` entries
+  // and total `recorder_total_` of `recorder_` at `recorder_lineage_`
+  // (nullptr = unknown, re-encode in full).
+  const sim::EventRecorder* recorder_ = nullptr;
+  std::uint64_t recorder_lineage_ = 0;
+  std::size_t recorder_count_ = 0;
+  std::uint64_t recorder_total_ = 0;
+
+  // Capture scratch and the recorder append payload, reused across encodes.
+  sim::Kernel::Checkpoint kernel_;
+  statechart::InstanceSnapshot machine_;
+  std::string append_;
 };
 
 }  // namespace umlsoc::replay

@@ -630,19 +630,27 @@ bool match_sections(std::string_view element,
   return ok;
 }
 
+/// True when `label` is the expectation a watchdog named `name` holds while
+/// armed ("watchdog <name> armed"), compared without building the string.
+bool is_watchdog_label(std::string_view label, std::string_view name) {
+  constexpr std::string_view kHead = "watchdog ";
+  constexpr std::string_view kTail = " armed";
+  return label.size() == kHead.size() + name.size() + kTail.size() &&
+         label.starts_with(kHead) && label.ends_with(kTail) &&
+         label.substr(kHead.size(), name.size()) == name;
+}
+
 }  // namespace
 
 // --- capture -----------------------------------------------------------------
 
-bool capture_image(const SnapshotTargets& targets, SnapshotImage& image,
-                   support::DiagnosticSink& sink) {
+bool capture_kernel(const SnapshotTargets& targets, sim::Kernel::Checkpoint& checkpoint,
+                    support::DiagnosticSink& sink) {
   if (targets.kernel == nullptr) {
     sink.error("snapshot", "no kernel target registered");
     return false;
   }
-
-  SnapshotImage out;
-  if (!targets.kernel->capture_checkpoint(out.kernel, sink)) return false;
+  if (!targets.kernel->capture_checkpoint(checkpoint, sink)) return false;
 
   bool ok = true;
   for (const BusTarget& target : targets.buses) {
@@ -658,12 +666,11 @@ bool capture_image(const SnapshotTargets& targets, SnapshotImage& image,
   // supervisor's pending-restart queue in the supervisor section. Anything
   // else — an in-flight bus-port transaction, a custom expectation — holds
   // callbacks this format cannot serialize.
-  for (const auto& expectation : out.kernel.expectations) {
+  for (const auto& expectation : checkpoint.expectations) {
     if (expectation.outstanding == 0) continue;
     bool owned = false;
     for (const WatchdogTarget& target : targets.watchdogs) {
-      owned = owned ||
-              expectation.label == "watchdog " + target.watchdog->name() + " armed";
+      owned = owned || is_watchdog_label(expectation.label, target.watchdog->name());
     }
     for (const SupervisorTarget& target : targets.supervisors) {
       owned = owned || expectation.label == target.supervisor->restart_expectation_label();
@@ -676,7 +683,13 @@ bool capture_image(const SnapshotTargets& targets, SnapshotImage& image,
       ok = false;
     }
   }
-  if (!ok) return false;
+  return ok;
+}
+
+bool capture_image(const SnapshotTargets& targets, SnapshotImage& image,
+                   support::DiagnosticSink& sink) {
+  SnapshotImage out;
+  if (!capture_kernel(targets, out.kernel, sink)) return false;
 
   out.kernel_timed_labels.reserve(out.kernel.timed.size());
   for (const auto& timed : out.kernel.timed) {

@@ -112,11 +112,12 @@ struct SnapshotTargets {
 };
 
 /// Decoded, format-independent snapshot content: exactly the state the XML
-/// and binary encodings carry, section order preserved. capture_image and
-/// apply_image own the refusal rules and the section/target matching;
-/// image_to_xml / image_from_xml (and the binary codec in replay/binary.hpp)
-/// are pure transcoders over this struct — which is what makes the
-/// binary<->XML converters lossless by construction.
+/// and binary encodings carry, section order preserved. capture_image (via
+/// capture_kernel's refusal rules) and apply_image own the capture rules
+/// and the section/target matching; image_to_xml / image_from_xml (and the
+/// binary codec in replay/binary.hpp) are pure transcoders over this struct
+/// — which is what makes the binary<->XML converters lossless by
+/// construction.
 struct SnapshotImage {
   template <typename T>
   struct Named {
@@ -157,10 +158,21 @@ struct SnapshotImage {
   }
 };
 
-/// Captures the targets' state into `image`. Owns the refusal rules: fails
-/// (reporting through `sink`) on a mid-delta kernel, pending transient
-/// events, in-flight bus transactions, or outstanding expectations not
-/// owned by a registered watchdog or supervisor.
+/// The snapshot refusal rules, shared by every capture path (capture_image
+/// and the streaming IncrementalEncoder): captures the kernel into
+/// `checkpoint` — refusing a missing kernel target or a mid-delta kernel —
+/// then refuses in-flight bus transactions and outstanding expectations
+/// not owned by a registered watchdog or supervisor. Every violation is
+/// reported through `sink`. `checkpoint` is overwritten in place (see
+/// Kernel::capture_checkpoint), so callers may reuse one across captures.
+[[nodiscard]] bool capture_kernel(const SnapshotTargets& targets,
+                                  sim::Kernel::Checkpoint& checkpoint,
+                                  support::DiagnosticSink& sink);
+
+/// Captures the targets' state into `image`. Applies capture_kernel's
+/// refusal rules: fails (reporting through `sink`) on a mid-delta kernel,
+/// pending transient events, in-flight bus transactions, or outstanding
+/// expectations not owned by a registered watchdog or supervisor.
 [[nodiscard]] bool capture_image(const SnapshotTargets& targets, SnapshotImage& image,
                                  support::DiagnosticSink& sink);
 

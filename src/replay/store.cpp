@@ -136,7 +136,7 @@ bool CheckpointStore::checkpoint(const SnapshotTargets& targets, WriteResult& ou
   const bool force_full = count_ % config_.full_interval == 0;
   ++count_;
 
-  IncrementalEncoder::Result encoded;
+  IncrementalEncoder::Result& encoded = encoded_;
   if (!encoder_.encode(targets, force_full, encoded, sink)) return false;
 
   WriteResult result;
@@ -144,7 +144,9 @@ bool CheckpointStore::checkpoint(const SnapshotTargets& targets, WriteResult& ou
   result.delta = encoded.delta;
   result.path = path_for(encoded.seq);
 
-  std::string bytes = std::move(encoded.bytes);
+  // Write faults mangle the encoder's output buffer in place; the next
+  // encode overwrites it anyway.
+  std::string& bytes = encoded.bytes;
   if (fault_plan_ != nullptr) {
     const sim::FaultDecision decision = fault_plan_->consult(sim::FaultSite::kCheckpoint);
     switch (decision.kind) {

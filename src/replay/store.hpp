@@ -170,6 +170,7 @@ class CheckpointStore {
 
   CheckpointStoreConfig config_;
   IncrementalEncoder encoder_;
+  IncrementalEncoder::Result encoded_;  ///< Reused so encodes keep its buffer.
   sim::FaultPlan* fault_plan_ = nullptr;
   sim::HealthRegistry* health_ = nullptr;
   sim::HealthRegistry::UnitId health_unit_ = 0;

@@ -259,30 +259,36 @@ void Kernel::run_delta_loop() {
 // --- Checkpoint / restore ----------------------------------------------------
 
 bool Kernel::capture_checkpoint(Checkpoint& out, support::DiagnosticSink& sink) const {
-  const std::string subject = "sim.kernel";
   if (!runnable_.empty() || !next_runnable_.empty() || !update_requests_.empty() ||
       batch_remaining_ != 0) {
-    sink.error(subject, "cannot checkpoint mid-delta: runnable processes, unfinished "
-                        "evaluate-batch members or pending signal updates exist "
-                        "(checkpoint between run() calls, or from a process that is "
-                        "alone in its batch)");
+    sink.error("sim.kernel", "cannot checkpoint mid-delta: runnable processes, unfinished "
+                             "evaluate-batch members or pending signal updates exist "
+                             "(checkpoint between run() calls, or from a process that is "
+                             "alone in its batch)");
     return false;
   }
-  out = Checkpoint{};
   out.now_ps = now_.picoseconds();
   out.sequence = sequence_;
   out.delta_count = delta_count_;
   out.events_processed = events_processed_;
   out.process_count = processes_.size();
 
+  out.timed.clear();
   out.timed.reserve(timed_size_);
   auto add_entry = [&](const TimedEntry& entry) {
     out.timed.push_back(Checkpoint::PendingTimed{entry.at_ps, entry.sequence, entry.process});
   };
-  for (std::uint32_t slot = 0; slot < kWheelBuckets; ++slot) {
-    for (std::int32_t index = wheel_heads_[slot]; index != -1;
-         index = pool_[static_cast<std::size_t>(index)].next) {
-      add_entry(pool_[static_cast<std::size_t>(index)]);
+  // Occupied buckets only: the summary names the nonzero occupancy words,
+  // each word its nonempty buckets. Bucket order is irrelevant — the sort
+  // below restores (at_ps, sequence) order across the wrapped cursor.
+  for (std::uint64_t words = occupancy_summary_; words != 0; words &= words - 1) {
+    const auto word = static_cast<std::uint32_t>(std::countr_zero(words));
+    for (std::uint64_t bits = occupancy_[word]; bits != 0; bits &= bits - 1) {
+      const std::uint32_t slot = (word << 6) + static_cast<std::uint32_t>(std::countr_zero(bits));
+      for (std::int32_t index = wheel_heads_[slot]; index != -1;
+           index = pool_[static_cast<std::size_t>(index)].next) {
+        add_entry(pool_[static_cast<std::size_t>(index)]);
+      }
     }
   }
   for (const TimedEntry& entry : heap_) add_entry(entry);
@@ -292,10 +298,12 @@ bool Kernel::capture_checkpoint(Checkpoint& out, support::DiagnosticSink& sink) 
               return a.sequence < b.sequence;
             });
 
-  out.expectations.reserve(expectations_.size());
-  for (const Expectation& expectation : expectations_) {
-    out.expectations.push_back(
-        Checkpoint::ExpectationEntry{expectation.label, expectation.outstanding});
+  // Element-wise assignment keeps each label's buffer (no reallocation
+  // when the same kernel is captured again).
+  out.expectations.resize(expectations_.size());
+  for (std::size_t i = 0; i < expectations_.size(); ++i) {
+    out.expectations[i].label = expectations_[i].label;
+    out.expectations[i].outstanding = expectations_[i].outstanding;
   }
   return true;
 }
@@ -364,9 +372,6 @@ bool Kernel::restore_checkpoint(const Checkpoint& checkpoint, support::Diagnosti
   wheel_base_quantum_ = checkpoint.now_ps >> kWheelShift;
   delta_count_ = checkpoint.delta_count;
   events_processed_ = checkpoint.events_processed;
-  // Restores can rewind the mixed counters to earlier values; the op bump
-  // keeps revision() from reproducing a pre-restore fingerprint.
-  ++expectation_ops_;
   for (const Checkpoint::PendingTimed& pending : checkpoint.timed) {
     // Re-insert with the captured sequence so same-time FIFO order (and the
     // event-recorder stream) is preserved exactly.

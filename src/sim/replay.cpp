@@ -1,8 +1,16 @@
 #include "sim/replay.hpp"
 
+#include <atomic>
+
 namespace umlsoc::sim {
 
 namespace {
+
+/// Source of EventRecorder::lineage() values; shared by every recorder (and
+/// every fleet thread) so no two lineages in a process ever compare equal.
+std::atomic<std::uint64_t> g_next_lineage{1};
+
+std::uint64_t next_lineage() { return g_next_lineage.fetch_add(1, std::memory_order_relaxed); }
 
 std::string describe(const RecordedEvent& event, const std::string& label) {
   std::string out = "process " + std::to_string(event.process);
@@ -26,22 +34,28 @@ std::string EventRecorder::Divergence::str() const {
   return out;
 }
 
-EventRecorder::EventRecorder(std::size_t ring_capacity) : ring_capacity_(ring_capacity) {
+EventRecorder::EventRecorder(std::size_t ring_capacity)
+    : ring_capacity_(ring_capacity), lineage_(next_lineage()) {
   if (ring_capacity_ != 0) events_.reserve(ring_capacity_);
 }
 
+EventRecorder::LogView EventRecorder::retained() const {
+  const std::span<const RecordedEvent> all(events_);
+  // ring_head_ is 0 until the ring wraps, leaving `newer` empty.
+  return LogView{all.subspan(ring_head_), all.first(ring_head_)};
+}
+
 std::vector<RecordedEvent> EventRecorder::log() const {
-  if (ring_capacity_ == 0 || events_.size() < ring_capacity_) return events_;
+  const LogView view = retained();
   std::vector<RecordedEvent> out;
-  out.reserve(events_.size());
-  out.insert(out.end(), events_.begin() + static_cast<std::ptrdiff_t>(ring_head_),
-             events_.end());
-  out.insert(out.end(), events_.begin(),
-             events_.begin() + static_cast<std::ptrdiff_t>(ring_head_));
+  out.reserve(view.size());
+  out.insert(out.end(), view.older.begin(), view.older.end());
+  out.insert(out.end(), view.newer.begin(), view.newer.end());
   return out;
 }
 
 void EventRecorder::restore_log(std::vector<RecordedEvent> events, std::uint64_t total) {
+  lineage_ = next_lineage();
   events_ = std::move(events);
   ring_head_ = 0;
   total_ = total;
@@ -54,6 +68,7 @@ void EventRecorder::restore_log(std::vector<RecordedEvent> events, std::uint64_t
 
 void EventRecorder::begin_verify(std::vector<RecordedEvent> expected,
                                  std::uint64_t start_index) {
+  lineage_ = next_lineage();
   mode_ = Mode::kVerify;
   expected_ = std::move(expected);
   total_ = start_index;

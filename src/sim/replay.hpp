@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,6 +59,10 @@ class EventRecorder {
   /// ring_capacity 0 keeps the full log; otherwise only the most recent
   /// `ring_capacity` events are retained (total_events() still counts all).
   explicit EventRecorder(std::size_t ring_capacity = 0);
+  /// Not copyable: a copy would share this log's lineage() while its
+  /// entries diverge.
+  EventRecorder(const EventRecorder&) = delete;
+  EventRecorder& operator=(const EventRecorder&) = delete;
 
   [[nodiscard]] Mode mode() const { return mode_; }
   [[nodiscard]] std::size_t ring_capacity() const { return ring_capacity_; }
@@ -70,6 +75,26 @@ class EventRecorder {
 
   /// Retained events, oldest first.
   [[nodiscard]] std::vector<RecordedEvent> log() const;
+
+  /// The retained events without a copy, oldest first, as the ring's two
+  /// contiguous runs (`newer` stays empty until a ring wraps). Invalidated
+  /// by the next recorded event or log mutation.
+  struct LogView {
+    std::span<const RecordedEvent> older;
+    std::span<const RecordedEvent> newer;
+    [[nodiscard]] std::size_t size() const { return older.size() + newer.size(); }
+  };
+  [[nodiscard]] LogView retained() const;
+
+  /// Identifies the current log lineage. A fresh value, unique across all
+  /// recorders in the process, is drawn at construction and by every call
+  /// that rewrites the log or the running count (restore_log, begin_verify).
+  /// While it holds, the log changes only by recording: each event raises
+  /// total_events() by one and either appends an entry or overwrites the
+  /// oldest ring entry — so equal lineage plus equal growth in size and
+  /// total means the earlier entries are untouched. The incremental
+  /// checkpoint encoder appends on exactly that condition.
+  [[nodiscard]] std::uint64_t lineage() const { return lineage_; }
 
   /// Replaces the log (snapshot restore): `events` become the retained
   /// prefix and `total` the running count. Recording continues after them,
@@ -126,6 +151,7 @@ class EventRecorder {
   std::vector<RecordedEvent> events_;  // Ring when ring_capacity_ != 0.
   std::size_t ring_head_ = 0;          // Oldest retained entry (ring mode).
   std::uint64_t total_ = 0;
+  std::uint64_t lineage_ = 0;
   std::vector<RecordedEvent> expected_;
   std::optional<Divergence> divergence_;
 };

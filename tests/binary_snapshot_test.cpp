@@ -1,7 +1,8 @@
 // Binary checkpointing tests: binary<->XML round-trip equality on a rig
 // that exercises every section kind, a mutation-fuzz corpus for the binary
 // decoder (truncation, bit-flips, duplicated sections, version skew),
-// incremental delta chains, and the CheckpointStore recovery ladder
+// incremental delta chains, golden-byte encoder streams, and the
+// CheckpointStore recovery ladder
 // (corrupt/version-skewed/missing files quarantined, write faults injected
 // through FaultSite::kCheckpoint).
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -68,12 +70,12 @@ struct FullRig {
   int child_restarts = 0;
   std::uint64_t read_sum = 0;
 
-  explicit FullRig(const statechart::StateMachine& machine)
+  explicit FullRig(const statechart::StateMachine& machine, std::size_t ring_capacity = 0)
       : bus(kernel, "mem", SimTime::ns(4)),
         plan(/*seed=*/7),
         instance(machine),
         watchdog(kernel, "rig", SimTime::us(1)),
-        recorder(/*ring_capacity=*/0),
+        recorder(ring_capacity),
         port(kernel, bus, "port"),
         breaker(kernel, port, "dma", breaker_config()),
         supervisor(kernel, "soc", sim::RestartStrategy::kOneForOne, restart_policy()) {
@@ -199,6 +201,8 @@ struct FullRig {
 };
 
 constexpr std::size_t kSectionKinds = 10;  // Every kind FullRig serializes.
+/// Ring size for the golden ring stream: small enough to wrap mid-run.
+constexpr std::size_t kGoldenRingCapacity = 24;
 
 // Quiescent checkpoint instants: ticks land at multiples of 10ns, bus and
 // breaker completions 4ns later, so N*10000 + 5000 is always between a
@@ -642,6 +646,217 @@ TEST_F(BinarySnapshotTest, XmlSectionChecksumDiagnosticsNameTheSection) {
   EXPECT_NE(attempt.str().find("checksum mismatch"), std::string::npos) << attempt.str();
   EXPECT_NE(attempt.str().find("section checksum mismatch in <watchdog"), std::string::npos)
       << attempt.str();
+}
+
+// --- golden encoder streams ----------------------------------------------------
+// Scripted checkpoint streams over FullRig that drive every path of the
+// incremental encoder: fulls, clean deltas, recorder appends, ring
+// overwrites, target-set shape changes, restore_log shrinking and then
+// regrowing the log, a verify window, forced fulls, and reset() /
+// resume_after() after real restores. The expected digests, lengths and
+// counts were recorded from the image-based encoder (capture_image, then
+// one flat section list per encode) that the streaming encoder replaced.
+// The format admits one encoding per state, so any drift is a format
+// change. Every step also resolves its chain and compares it with a
+// direct capture.
+
+struct StreamStep {
+  std::uint64_t digest = 0;  // FNV-1a of the whole file.
+  std::size_t size = 0;
+  std::size_t dirty = 0;
+  std::size_t total = 0;
+  bool delta = false;
+  std::uint64_t seq = 0;
+  std::uint64_t base_seq = 0;
+
+  friend bool operator==(const StreamStep&, const StreamStep&) = default;
+};
+
+std::ostream& operator<<(std::ostream& out, const StreamStep& step) {
+  return out << "{0x" << std::hex << step.digest << std::dec << "ULL, " << step.size << ", "
+             << step.dirty << ", " << step.total << ", " << (step.delta ? "true" : "false")
+             << ", " << step.seq << ", " << step.base_seq << "}";
+}
+
+/// One encoder plus the chain it has written so far; every encode is
+/// recorded and its chain checked against a direct capture.
+class StreamRecorder {
+ public:
+  explicit StreamRecorder(FullRig& rig) : rig_(rig) {}
+
+  void encode(const SnapshotTargets& targets, bool force_full) {
+    support::DiagnosticSink sink;
+    // One Result for the whole stream, as CheckpointStore keeps it.
+    ASSERT_TRUE(encoder_.encode(targets, force_full, result_, sink)) << sink.str();
+    if (!result_.delta) chain_.clear();
+    chain_.push_back(result_.bytes);
+    const std::vector<std::string_view> views(chain_.begin(), chain_.end());
+    SnapshotImage resolved;
+    ASSERT_TRUE(image_from_binary_chain(views, resolved, sink)) << sink.str();
+    SnapshotImage direct;
+    ASSERT_TRUE(capture_image(targets, direct, sink)) << sink.str();
+    EXPECT_EQ(image_to_binary(resolved), image_to_binary(direct)) << "step " << steps_.size();
+    images_.push_back(std::move(resolved));
+    steps_.push_back({fnv1a(result_.bytes), result_.bytes.size(), result_.sections_dirty,
+                      result_.sections_total, result_.delta, result_.seq, result_.base_seq});
+  }
+
+  /// Applies the image resolved at `step` to the rig (a real restore).
+  void restore(std::size_t step) {
+    support::DiagnosticSink sink;
+    ASSERT_TRUE(apply_image(rig_.targets(), images_.at(step), sink)) << sink.str();
+  }
+
+  IncrementalEncoder& encoder() { return encoder_; }
+  [[nodiscard]] const std::vector<StreamStep>& steps() const { return steps_; }
+
+ private:
+  FullRig& rig_;
+  IncrementalEncoder encoder_;
+  IncrementalEncoder::Result result_;
+  std::vector<std::string> chain_;
+  std::vector<SnapshotImage> images_;
+  std::vector<StreamStep> steps_;
+};
+
+void expect_stream(const std::vector<StreamStep>& actual,
+                   const std::vector<StreamStep>& expected) {
+  std::ostringstream listing;
+  for (const StreamStep& step : actual) listing << "      " << step << ",\n";
+  ASSERT_EQ(actual.size(), expected.size()) << listing.str();
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i], expected[i]) << "encode #" << i << "\n" << listing.str();
+  }
+}
+
+TEST_F(BinarySnapshotTest, RingStreamMatchesGoldenBytes) {
+  FullRig rig(*machine_, /*ring_capacity=*/kGoldenRingCapacity);
+  StreamRecorder stream(rig);
+  const SnapshotTargets targets = rig.targets();
+
+  rig.run(25000);
+  stream.encode(targets, /*force_full=*/true);  // #0 base
+  stream.encode(targets, false);                // #1 nothing ran: all references
+  rig.run(45000);
+  stream.encode(targets, false);  // #2 recorder append
+  rig.run(85000);
+  stream.encode(targets, false);  // #3 recorder append
+  rig.run(165000);
+  stream.encode(targets, false);  // #4 the ring overwrote entries: recorder payload
+  rig.run(185000);
+  stream.encode(targets, false);  // #5 the full ring keeps rotating: payload again
+
+  SnapshotTargets narrowed = targets;
+  narrowed.banks.clear();
+  stream.encode(narrowed, false);  // #6 shape change: full
+  rig.run(205000);
+  stream.encode(targets, false);  // #7 shape change back: full
+  rig.run(225000);
+  stream.encode(targets, false);  // #8 delta
+
+  // restore_log shrinks the log (and rewinds the total) ...
+  const std::vector<sim::RecordedEvent> log = rig.recorder.log();
+  ASSERT_GT(log.size(), 10u);
+  rig.recorder.restore_log({log.begin(), log.begin() + 10},
+                           rig.recorder.total_events() - (log.size() - 10));
+  stream.encode(targets, false);  // #9 recorder payload, shorter
+  rig.run(245000);
+  stream.encode(targets, false);  // #10 ... and the shorter log grows again: append
+  // An identical rewrite still dedups to a reference.
+  rig.recorder.restore_log(rig.recorder.log(), rig.recorder.total_events());
+  stream.encode(targets, false);  // #11 clean delta
+  // A verify window rewinds nothing here but is a rewrite all the same.
+  rig.recorder.begin_verify(rig.recorder.log(), rig.recorder.total_events());
+  rig.run(255000);
+  rig.recorder.end_verify();
+  stream.encode(targets, false);  // #12 append, found by comparing the whole log
+
+  stream.restore(3);
+  stream.encoder().reset();
+  stream.encode(targets, false);  // #13 full after reset
+  rig.run(125000);
+  stream.encode(targets, false);  // #14 delta; the ring wraps again
+  stream.restore(8);
+  stream.encoder().resume_after(stream.encoder().last_seq() + 5);
+  stream.encode(targets, false);  // #15 full, numbering resumed above the gap
+  rig.run(285000);
+  stream.encode(targets, false);  // #16 delta
+  stream.encode(targets, /*force_full=*/true);  // #17 forced full
+  rig.run();
+  stream.encode(targets, false);  // #18 run to completion
+
+  // Rewrites that keep size and total growing in step must still be seen.
+  // Rewind the count by two, then record two events over the full ring:
+  // two entries were overwritten.
+  ASSERT_EQ(rig.recorder.log().size(), kGoldenRingCapacity);
+  rig.recorder.begin_verify(rig.recorder.log(), rig.recorder.total_events() - 2);
+  rig.recorder.end_verify();
+  rig.recorder.on_event(rig.kernel.now().picoseconds(), rig.ticker, rig.kernel);
+  rig.recorder.on_event(rig.kernel.now().picoseconds(), rig.ticker, rig.kernel);
+  stream.encode(targets, false);  // #19 recorder payload
+  // A same-size log with a different entry.
+  std::vector<sim::RecordedEvent> altered = rig.recorder.log();
+  altered.front().at_ps += 1;
+  rig.recorder.restore_log(altered, rig.recorder.total_events());
+  stream.encode(targets, false);  // #20 recorder payload
+  // Dropping the fault plan moves the recorder to another slot.
+  SnapshotTargets without_plan = targets;
+  without_plan.fault_plan = nullptr;
+  stream.encode(without_plan, false);  // #21 shape change: full
+  rig.recorder.on_event(rig.kernel.now().picoseconds(), rig.ticker, rig.kernel);
+  stream.encode(without_plan, false);  // #22 recorder payload (the ring overwrote)
+
+  expect_stream(stream.steps(), {
+      {0xcb3edb723c297f3ULL, 1440, 10, 10, false, 1, 0},
+      {0xe769e1ef18becd81ULL, 319, 0, 10, true, 2, 1},
+      {0xbb13f54a01b0eb16ULL, 1332, 8, 10, true, 3, 2},
+      {0x7d7229ddfca27fecULL, 1273, 7, 10, true, 4, 3},
+      {0x2274b6ffb2068ad2ULL, 1488, 8, 10, true, 5, 4},
+      {0x473cb60d0bf39c48ULL, 1426, 7, 10, true, 6, 5},
+      {0xd43f28d3eb9109cbULL, 1393, 9, 9, false, 7, 0},
+      {0x94a62a969aa1aef4ULL, 1588, 10, 10, false, 8, 0},
+      {0x720031ac187374d3ULL, 1426, 7, 10, true, 9, 8},
+      {0x9a012e00f7f08f57ULL, 443, 1, 10, true, 10, 9},
+      {0x10236aff61df4ebULL, 1186, 7, 10, true, 11, 10},
+      {0x925f5ad5a419b5e4ULL, 319, 0, 10, true, 12, 11},
+      {0xb6e457639c057276ULL, 1162, 7, 10, true, 13, 12},
+      {0x357c656b87c10982ULL, 1567, 10, 10, false, 14, 0},
+      {0x501ccc6bacc65974ULL, 1488, 8, 10, true, 15, 14},
+      {0x92f98aa5e8d45dfdULL, 1588, 10, 10, false, 21, 0},
+      {0xec718306431fd75bULL, 1426, 7, 10, true, 22, 21},
+      {0xb93b71e64e61dd5fULL, 1588, 10, 10, false, 23, 0},
+      {0xabef713b7795584ULL, 1356, 7, 10, true, 24, 23},
+      {0xcc27e95edf4afdcdULL, 611, 1, 10, true, 25, 24},
+      {0x9093f546873965a2ULL, 611, 1, 10, true, 26, 25},
+      {0xa4648d4f48143e8fULL, 1205, 9, 9, false, 27, 0},
+      {0x3f4c51e8d6dd304ULL, 587, 1, 9, true, 28, 27},
+  });
+}
+
+TEST_F(BinarySnapshotTest, StoreCadenceStreamMatchesGoldenBytes) {
+  // The soak's shape: an unbounded log growing between checkpoints, a full
+  // base every fourth encode.
+  FullRig rig(*machine_);
+  StreamRecorder stream(rig);
+  const SnapshotTargets targets = rig.targets();
+  for (int i = 0; i < 12; ++i) {
+    rig.run(15000 + 20000 * static_cast<std::uint64_t>(i));
+    stream.encode(targets, /*force_full=*/i % 4 == 0);
+  }
+  expect_stream(stream.steps(), {
+      {0xa6e70fdea8530a69ULL, 1387, 10, 10, false, 1, 0},
+      {0x272cc56d320511feULL, 1332, 8, 10, true, 2, 1},
+      {0xd48a1394c81c7d93ULL, 1225, 7, 10, true, 3, 2},
+      {0xfd87856d948ce594ULL, 1225, 7, 10, true, 4, 3},
+      {0x56ffcf5100d52768ULL, 1591, 10, 10, false, 5, 0},
+      {0xcd9d97d0531a454eULL, 1260, 8, 10, true, 6, 5},
+      {0x5f07a610233fe83fULL, 1186, 7, 10, true, 7, 6},
+      {0x956aa3cbb720e6bdULL, 1186, 7, 10, true, 8, 7},
+      {0xd706af47db3fc878ULL, 1744, 10, 10, false, 9, 0},
+      {0xb87fe75028f4ee4dULL, 1186, 7, 10, true, 10, 9},
+      {0x2ac7dfc43a7b3db6ULL, 1186, 7, 10, true, 11, 10},
+      {0xc34e84f37c9a2477ULL, 1186, 7, 10, true, 12, 11},
+  });
 }
 
 // --- CheckpointStore ---------------------------------------------------------

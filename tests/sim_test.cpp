@@ -1,7 +1,8 @@
 // Simulation kernel tests: scheduling order, delta cycles, signals, clocks,
-// fifos, the memory-mapped bus, and tracing.
+// fifos, the memory-mapped bus, tracing, and checkpoint capture order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -499,6 +500,88 @@ TEST(Kernel, SteadyStateSignalTrafficIsAllocationFree) {
   kernel.run(SimTime::us(20));
   EXPECT_GT(edges, 1000L);
   EXPECT_EQ(g_heap_allocations.load(), allocations_before);
+}
+
+TEST(Kernel, CaptureCheckpointSortsWheelAndHeapEntries) {
+  // Park the wheel cursor near the top of the wheel so pending entries sit
+  // in buckets on both sides of the wrap, several per bucket, with more in
+  // the overflow heap beyond the wheel horizon.
+  Kernel kernel;
+  const ProcessId noop = kernel.register_process([] {});
+  const ProcessId other = kernel.register_process([] {});
+  const std::uint64_t bucket_ps = 1ULL << Kernel::kWheelShift;
+  kernel.schedule(SimTime((Kernel::kWheelBuckets - 40) * bucket_ps + 123), noop);
+  kernel.run();
+  const ExpectationId busy = kernel.register_expectation("a label longer than the SSO buffer");
+  kernel.expect(busy);
+  (void)kernel.register_expectation("idle");
+
+  support::DiagnosticSink sink;
+  Kernel::Checkpoint before;
+  ASSERT_TRUE(kernel.capture_checkpoint(before, sink)) << sink.str();
+  ASSERT_TRUE(before.timed.empty());
+
+  struct Reference {
+    std::uint64_t at_ps;
+    std::uint64_t sequence;
+    ProcessId process;
+  };
+  std::vector<Reference> reference;
+  std::uint64_t lcg = 12345;
+  const std::uint64_t horizon_ps = Kernel::kWheelBuckets * bucket_ps;
+  for (int i = 0; i < 200; ++i) {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    // Mostly near the cursor (both sides of the wrap), with repeats that
+    // share buckets and times; every fifth beyond the horizon (heap).
+    std::uint64_t delay = (lcg >> 33) % (80 * bucket_ps);
+    if (i % 5 == 4) delay = horizon_ps + (lcg >> 20) % (3 * horizon_ps);
+    if (i % 7 == 3) delay = reference.back().at_ps - kernel.now().picoseconds();
+    const ProcessId process = i % 2 == 0 ? noop : other;
+    kernel.schedule(SimTime(delay), process);
+    reference.push_back({kernel.now().picoseconds() + delay,
+                         before.sequence + static_cast<std::uint64_t>(i) + 1, process});
+  }
+  std::sort(reference.begin(), reference.end(), [](const Reference& a, const Reference& b) {
+    return a.at_ps != b.at_ps ? a.at_ps < b.at_ps : a.sequence < b.sequence;
+  });
+
+  Kernel::Checkpoint checkpoint;
+  ASSERT_TRUE(kernel.capture_checkpoint(checkpoint, sink)) << sink.str();
+  ASSERT_EQ(checkpoint.timed.size(), reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(checkpoint.timed[i].at_ps, reference[i].at_ps) << i;
+    EXPECT_EQ(checkpoint.timed[i].sequence, reference[i].sequence) << i;
+    EXPECT_EQ(checkpoint.timed[i].process, reference[i].process) << i;
+  }
+  ASSERT_EQ(checkpoint.expectations.size(), 2u);
+  EXPECT_EQ(checkpoint.expectations[0].label, "a label longer than the SSO buffer");
+  EXPECT_EQ(checkpoint.expectations[0].outstanding, 1u);
+
+  // Capturing into the same Checkpoint again reuses every buffer and
+  // reproduces it exactly.
+  const std::vector<Kernel::Checkpoint::PendingTimed> first = checkpoint.timed;
+  const std::uint64_t allocations_before = g_heap_allocations.load();
+  ASSERT_TRUE(kernel.capture_checkpoint(checkpoint, sink)) << sink.str();
+  EXPECT_EQ(g_heap_allocations.load(), allocations_before);
+  ASSERT_EQ(checkpoint.timed.size(), first.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(checkpoint.timed[i].at_ps, first[i].at_ps) << i;
+    EXPECT_EQ(checkpoint.timed[i].sequence, first[i].sequence) << i;
+  }
+  EXPECT_EQ(checkpoint.expectations[0].label, "a label longer than the SSO buffer");
+
+  // Draining runs the events in exactly the captured order.
+  std::vector<std::uint64_t> ran;
+  Kernel replayed;
+  for (int i = 0; i < 2; ++i) {
+    (void)replayed.register_process([&] { ran.push_back(replayed.now().picoseconds()); });
+  }
+  (void)replayed.register_expectation("a label longer than the SSO buffer");
+  (void)replayed.register_expectation("idle");
+  ASSERT_TRUE(replayed.restore_checkpoint(checkpoint, sink)) << sink.str();
+  replayed.run();
+  ASSERT_EQ(ran.size(), reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) EXPECT_EQ(ran[i], reference[i].at_ps) << i;
 }
 
 // Property: N producers and one consumer over a fifo — every produced item
