@@ -126,40 +126,31 @@ namespace {
 // Picks the statechart engine for the chaos-soak and --check-properties
 // demos: the AOT-compiled plan-table stepper (the default, matching the
 // verifier's and the sim kernel's hot paths) or the reference interpreter.
-// A machine the compiler rejects falls back to the interpreter either way.
 enum class EngineChoice : std::uint8_t { kCompiled, kInterpreted };
 EngineChoice g_engine_choice = EngineChoice::kCompiled;
 
-/// Owns whichever engine the --engine flag selected and hands out the
-/// common statechart::Engine surface (snapshots stay interchangeable, so
+/// Owns the engine the --engine flag selected and hands out the common
+/// statechart::Engine surface (snapshots stay interchangeable, so
 /// checkpoint/restore and the replay verifier are engine-agnostic).
 class EngineBox {
  public:
   explicit EngineBox(const statechart::StateMachine& machine) {
     if (g_engine_choice == EngineChoice::kCompiled) {
       support::DiagnosticSink sink;
-      compiled_ = statechart::compile(machine, sink);
-    }
-    if (compiled_ == nullptr) {
-      interpreted_ = std::make_unique<statechart::StateMachineInstance>(machine);
+      engine_ = statechart::compile(machine, sink);
+    } else {
+      engine_ = std::make_unique<statechart::StateMachineInstance>(machine);
     }
   }
 
-  [[nodiscard]] statechart::Engine& engine() {
-    return compiled_ != nullptr ? static_cast<statechart::Engine&>(*compiled_)
-                                : *interpreted_;
-  }
-  [[nodiscard]] const statechart::Engine& engine() const {
-    return compiled_ != nullptr ? static_cast<const statechart::Engine&>(*compiled_)
-                                : *interpreted_;
-  }
-  statechart::Engine* operator->() { return &engine(); }
-  const statechart::Engine* operator->() const { return &engine(); }
-  [[nodiscard]] bool compiled() const { return compiled_ != nullptr; }
+  [[nodiscard]] statechart::Engine& engine() { return *engine_; }
+  [[nodiscard]] const statechart::Engine& engine() const { return *engine_; }
+  statechart::Engine* operator->() { return engine_.get(); }
+  const statechart::Engine* operator->() const { return engine_.get(); }
+  [[nodiscard]] bool compiled() const { return g_engine_choice == EngineChoice::kCompiled; }
 
  private:
-  std::unique_ptr<statechart::CompiledMachine> compiled_;
-  std::unique_ptr<statechart::StateMachineInstance> interpreted_;
+  std::unique_ptr<statechart::Engine> engine_;
 };
 
 const char* engine_label() {

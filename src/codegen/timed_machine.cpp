@@ -23,18 +23,10 @@ std::optional<sim::SimTime> parse_after_trigger(const std::string& text) {
 }
 
 TimedStateMachine::TimedStateMachine(const statechart::StateMachine& machine,
-                                     sim::Kernel& kernel, EngineMode mode)
+                                     sim::Kernel& kernel)
     : kernel_(kernel) {
-  if (mode == EngineMode::kAuto) {
-    support::DiagnosticSink compile_sink;  // Rejection = documented fallback.
-    compiled_ = statechart::compile(machine, compile_sink);
-  }
-  if (compiled_ != nullptr) {
-    engine_ = compiled_.get();
-  } else {
-    interpreted_ = std::make_unique<statechart::StateMachineInstance>(machine);
-    engine_ = interpreted_.get();
-  }
+  support::DiagnosticSink compile_sink;
+  engine_ = statechart::compile(machine, compile_sink);
   engine_->set_state_listener(
       [this](const statechart::State& state, bool entered) { on_state(state, entered); });
 }

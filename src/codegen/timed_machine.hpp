@@ -12,7 +12,6 @@
 
 #include "sim/kernel.hpp"
 #include "statechart/compile.hpp"
-#include "statechart/interpreter.hpp"
 #include "support/diagnostics.hpp"
 
 namespace umlsoc::codegen {
@@ -28,20 +27,12 @@ namespace umlsoc::codegen {
 /// active (same activation) when the timer expires, `event` is dispatched.
 /// Leaving the state cancels the pending timer (by activation epoch).
 ///
-/// Process activations run on the AOT-compiled plan-table engine when the
-/// machine compiles (EngineMode::kAuto, the default — timer dispatch is the
-/// sim kernel's hot path); unsupported machines, or kInterpreted, use the
-/// reference interpreter. Timer semantics are engine-independent: epochs
-/// key off the state-listener callbacks both engines emit identically.
+/// Process activations run on the AOT-compiled plan-table engine (timer
+/// dispatch is the sim kernel's hot path). Timer semantics key off the
+/// state-listener callbacks, which every engine emits identically.
 class TimedStateMachine {
  public:
-  enum class EngineMode : std::uint8_t {
-    kAuto,         ///< Compiled when possible, interpreter otherwise.
-    kInterpreted,  ///< Always the reference interpreter.
-  };
-
-  TimedStateMachine(const statechart::StateMachine& machine, sim::Kernel& kernel,
-                    EngineMode mode = EngineMode::kAuto);
+  TimedStateMachine(const statechart::StateMachine& machine, sim::Kernel& kernel);
 
   /// Declares a time trigger: `delay` after entering `state_name`, dispatch
   /// Event{event_name}. Call before start().
@@ -60,8 +51,6 @@ class TimedStateMachine {
 
   [[nodiscard]] statechart::Engine& instance() { return *engine_; }
   [[nodiscard]] const statechart::Engine& instance() const { return *engine_; }
-  /// True when activations run on the compiled plan-table engine.
-  [[nodiscard]] bool compiled() const { return compiled_ != nullptr; }
   [[nodiscard]] std::uint64_t timeouts_fired() const { return timeouts_fired_; }
   [[nodiscard]] std::uint64_t timeouts_cancelled() const { return timeouts_cancelled_; }
 
@@ -80,9 +69,7 @@ class TimedStateMachine {
   void on_state(const statechart::State& state, bool entered);
   void on_timeout(const statechart::State& state, Timeout& timeout);
 
-  std::unique_ptr<statechart::CompiledMachine> compiled_;
-  std::unique_ptr<statechart::StateMachineInstance> interpreted_;
-  statechart::Engine* engine_ = nullptr;  ///< Whichever of the two is live.
+  std::unique_ptr<statechart::CompiledMachine> engine_;
   sim::Kernel& kernel_;
   std::multimap<std::string, Timeout> timeouts_;       // Keyed by state name.
   std::map<const statechart::State*, std::uint64_t> epochs_;

@@ -4,8 +4,8 @@
 // For each (configuration, event) pair the compiler precomputes the full
 // RTC step plan the interpreter would derive by walking the region tree:
 // the conflict-resolved candidate set in innermost-first priority order
-// (with per-candidate conflict claim masks), the exit set in reverse
-// document order with its history-record slots, the final-flag clears, the
+// (with per-candidate conflict claim masks), the exit set innermost first
+// with its history-record slots, the final-flag clears, the
 // transition effect, and the entry set with default/initial completion
 // fully linearized. Plans live in flat POD arrays — an extension of the
 // flatten.hpp row/group layout from single-leaf machines to hierarchical
@@ -17,22 +17,22 @@
 // guard-free successor relation; configurations or events first reached at
 // run time (guard outcomes, history restores, snapshot restores) extend
 // the tables lazily and are then cached. CompiledMachine::dispatch
-// executes a plan with no tree walking and no allocation in steady state;
-// only entries through history pseudostates fall back to a generic
-// (still index-based) entry walk, because the restored configuration is
-// not known statically.
+// executes a plan with no tree walking and no allocation in steady state.
 //
-// Fallback contract: compile() supports the full interpreter feature set
-// except choice/junction pseudostates (their branch resolution interleaves
-// guard evaluation with segment effects, which has no static plan) —
-// machines using them are rejected with a diagnostic and run on the
-// interpreter. The interpreter remains the reference semantics; the
+// Plans are recorded by the shared semantics core (semantics.hpp): its
+// exit/effect/entry walk runs in record mode against the interned
+// configuration. A candidate whose outcome depends on run-time state runs
+// that same walk live instead: an entry through a history pseudostate
+// (the restored configuration is not known statically; the steps cover
+// exit and effect only), and a choice/junction target (its guards pick the
+// path, and the path picks the exit set; the whole firing runs live).
+// compile() therefore accepts every machine the interpreter runs. The
 // differential harness (tests/statechart_differential_test.cpp) holds this
-// engine to it snapshot-for-snapshot after every dispatch.
+// engine to the interpreter snapshot-for-snapshot, and listener and effect
+// order, after every dispatch.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -41,6 +41,7 @@
 
 #include "statechart/engine.hpp"
 #include "statechart/model.hpp"
+#include "statechart/semantics.hpp"
 #include "support/diagnostics.hpp"
 
 namespace umlsoc::statechart {
@@ -48,10 +49,8 @@ namespace umlsoc::statechart {
 class CompiledMachine;
 
 /// Compiles `machine` into plan tables and returns an executable engine
-/// bound to it. Returns nullptr (reporting through `sink`) when the
-/// machine uses an unsupported feature — choice/junction pseudostates, or
-/// a transition targeting an initial pseudostate — in which case callers
-/// fall back to the interpreter. `machine` must outlive the result.
+/// bound to it. Every machine compiles, so the result is never null; the
+/// sink is kept for diagnostics. `machine` must outlive the result.
 [[nodiscard]] std::unique_ptr<CompiledMachine> compile(const StateMachine& machine,
                                                        support::DiagnosticSink& sink);
 
@@ -60,34 +59,9 @@ class CompiledMachine;
 /// interchangeable with the interpreter's.
 class CompiledMachine final : public Engine {
  public:
-  /// Step opcodes of a firing program, executed in order. `a`/`b` operands
-  /// are pre-order vertex/region indices or pool offsets.
-  enum class Op : std::uint8_t {
-    kRecordShallow,  ///< a = region, b = state: latch shallow history.
-    kRecordDeep,     ///< a = region, b = leaf_pool offset (count, leaves...).
-    kExitState,      ///< a = state: exit behavior, clear bit, listener.
-    kClearFinal,     ///< a = final vertex: clear its flag.
-    kEffect,         ///< a = transition row: run its effect behavior.
-    kEnterState,     ///< a = state: set bit, entry/do behaviors, listener.
-    kEnterFinal,     ///< a = final vertex: set its flag.
-    kTerminate,      ///< Kill the instance (clear configuration and queue).
-  };
-
-  struct Step {
-    Op op = Op::kEffect;
-    std::uint32_t a = 0;
-    std::uint32_t b = 0;
-  };
-
-  /// One transition of the machine in flat form (row of the table).
-  struct TransitionRow {
-    const Transition* origin = nullptr;
-    std::uint32_t source = 0;  ///< Pre-order vertex index.
-    std::uint32_t target = 0;
-    std::uint32_t domain = 0;  ///< Pre-order region index (external only).
-    bool internal = false;
-    bool completion = false;
-  };
+  using Op = semantics::Op;
+  using Step = semantics::Step;
+  using TransitionRow = semantics::TransitionRow;
 
   /// One enabled-transition candidate of a plan, in selection priority
   /// order (source depth descending, document order ascending, declaration
@@ -101,8 +75,10 @@ class CompiledMachine final : public Engine {
     std::uint32_t entry_scope = 0;   ///< Dynamic entry only: region index.
     bool internal = false;
     bool has_guard = false;
-    /// True when the entry phase crosses a history pseudostate: the steps
-    /// cover exit/effect only and entry runs the generic walk at run time.
+    /// True when the firing runs the live walk at run time: an entry
+    /// through a history pseudostate (the steps cover exit/effect only and
+    /// the entry starts at entry_target/entry_scope), or a choice/junction
+    /// target (no steps; the whole firing is live).
     bool dynamic_entry = false;
   };
 
@@ -118,7 +94,7 @@ class CompiledMachine final : public Engine {
 
   // --- Engine interface ------------------------------------------------------
 
-  [[nodiscard]] const StateMachine& machine() const override { return *machine_; }
+  [[nodiscard]] const StateMachine& machine() const override { return *tables_.machine; }
   void start() override;
   bool dispatch(Event event) override;
   void post(Event event) override;
@@ -129,19 +105,23 @@ class CompiledMachine final : public Engine {
   /// has no candidates, the event is not deferrable here, and no queued
   /// work is pending — dispatch() would provably change nothing.
   [[nodiscard]] bool can_react(const Event& event) override;
-  [[nodiscard]] std::size_t pending_events() const override { return queue_.size(); }
+  [[nodiscard]] std::size_t pending_events() const override { return exec_.queue.size(); }
   [[nodiscard]] bool is_in(std::string_view state_name) const override;
   [[nodiscard]] std::vector<std::string> active_leaf_names() const override;
   [[nodiscard]] bool is_in_final_state() const override;
-  [[nodiscard]] bool is_terminated() const override { return terminated_; }
-  [[nodiscard]] bool started() const override { return started_; }
+  [[nodiscard]] bool is_terminated() const override { return exec_.terminated; }
+  [[nodiscard]] bool started() const override { return exec_.started; }
   void set_trace_enabled(bool) override {}  // No trace capture (documented).
-  [[nodiscard]] std::uint64_t events_processed() const override { return events_processed_; }
-  [[nodiscard]] std::uint64_t transitions_fired() const override { return transitions_fired_; }
-  [[nodiscard]] std::uint64_t errors_raised() const override { return errors_raised_; }
-  [[nodiscard]] std::uint64_t errors_unhandled() const override { return errors_unhandled_; }
-  [[nodiscard]] std::int64_t variable(const std::string& name) const override;
-  void set_variable(const std::string& name, std::int64_t value) override;
+  [[nodiscard]] std::uint64_t events_processed() const override { return exec_.events_processed; }
+  [[nodiscard]] std::uint64_t transitions_fired() const override { return exec_.transitions_fired; }
+  [[nodiscard]] std::uint64_t errors_raised() const override { return exec_.errors_raised; }
+  [[nodiscard]] std::uint64_t errors_unhandled() const override { return exec_.errors_unhandled; }
+  [[nodiscard]] std::int64_t variable(const std::string& name) const override {
+    return exec_.variable(name);
+  }
+  void set_variable(const std::string& name, std::int64_t value) override {
+    exec_.variables[name] = value;
+  }
   void set_state_listener(StateListener listener) override { listener_ = std::move(listener); }
   [[nodiscard]] InstanceSnapshot capture() const override;
   void capture_into(InstanceSnapshot& out) const override;
@@ -153,11 +133,13 @@ class CompiledMachine final : public Engine {
 
   // --- Table introspection (codegen/software emission, DESIGN.md) -----------
 
-  [[nodiscard]] std::size_t vertex_count() const { return vinfo_.size(); }
-  [[nodiscard]] std::size_t region_count() const { return rinfo_.size(); }
+  [[nodiscard]] std::size_t vertex_count() const { return tables_.vertices.size(); }
+  [[nodiscard]] std::size_t region_count() const { return tables_.regions.size(); }
   /// Bitset width of configurations and claim masks, in 64-bit words.
-  [[nodiscard]] std::size_t words() const { return words_; }
-  [[nodiscard]] const std::vector<TransitionRow>& transition_table() const { return tinfo_; }
+  [[nodiscard]] std::size_t words() const { return tables_.words; }
+  [[nodiscard]] const std::vector<TransitionRow>& transition_table() const {
+    return tables_.transitions;
+  }
   [[nodiscard]] const std::vector<Plan>& plan_table() const { return plans_; }
   [[nodiscard]] const std::vector<Candidate>& candidate_table() const { return candidates_; }
   [[nodiscard]] const std::vector<Step>& step_table() const { return steps_; }
@@ -177,24 +159,6 @@ class CompiledMachine final : public Engine {
  private:
   friend std::unique_ptr<CompiledMachine> compile(const StateMachine&, support::DiagnosticSink&);
 
-  struct VertexInfo {
-    VertexKind kind = VertexKind::kState;
-    std::int32_t parent_state = -1;  ///< Vertex index of containing composite.
-    std::uint32_t container = 0;     ///< Region index.
-    std::uint16_t depth = 0;
-    const State* state = nullptr;    ///< Non-null for kState.
-    std::vector<std::uint32_t> regions;   ///< Composite: child region indices.
-    std::vector<std::uint32_t> outgoing;  ///< TransitionRow indices, decl order.
-  };
-
-  struct RegionInfo {
-    const Region* region = nullptr;
-    std::int32_t owner = -1;                   ///< Owner state vertex index.
-    const Transition* initial = nullptr;       ///< Default-entry transition.
-    std::vector<std::uint32_t> child_states;   ///< Direct children, decl order.
-    std::vector<std::uint32_t> finals;         ///< Direct final vertices.
-  };
-
   struct ConfigRec {
     std::uint32_t bits_offset = 0;     ///< words() u64s in config_bits_pool_.
     std::uint32_t members_offset = 0;  ///< Into config_member_pool_.
@@ -202,22 +166,9 @@ class CompiledMachine final : public Engine {
     std::uint32_t final_count = 0;
   };
 
-  /// Compile-time symbolic execution context for the entry phase: the same
-  /// chain/sweep algorithm the interpreter runs, recording steps instead of
-  /// running behaviors. `dynamic` flips when a history pseudostate is hit.
-  struct EntrySim {
-    std::vector<std::uint64_t> bits;
-    std::vector<Step>* out = nullptr;
-    std::deque<std::uint32_t> pending;
-    int depth = 0;
-    bool dynamic = false;
-  };
-
   explicit CompiledMachine(const StateMachine& machine);
 
   // Table construction (compile time and lazy extension).
-  void build_static_tables();
-  [[nodiscard]] bool check_supported(support::DiagnosticSink& sink) const;
   void build_start_program();
   void seed_reachable_plans();
   [[nodiscard]] std::uint32_t intern_config(const std::uint64_t* bits);
@@ -225,50 +176,18 @@ class CompiledMachine final : public Engine {
   [[nodiscard]] std::uint32_t plan_for(std::uint32_t config, std::uint32_t event_id);
   [[nodiscard]] std::uint32_t build_plan(std::uint32_t config, std::uint32_t event_id);
   void build_fire_program(std::uint32_t config, std::uint32_t transition, Candidate& candidate);
-  void sim_enter_target(EntrySim& sim, std::uint32_t vertex, std::uint32_t scope);
-  void sim_enter_single(EntrySim& sim, std::uint32_t state);
-  void sim_default_enter(EntrySim& sim, std::uint32_t region);
-  [[nodiscard]] bool sim_region_active(const EntrySim& sim, std::uint32_t region) const;
-  [[nodiscard]] bool config_state_completed(std::uint32_t config, std::uint32_t state) const;
-
-  // Index-based structural queries over the static tables.
-  [[nodiscard]] bool vertex_within_region(std::uint32_t vertex, std::uint32_t region) const;
-  [[nodiscard]] std::uint32_t domain_of(std::uint32_t source, std::uint32_t target) const;
 
   // Runtime execution.
-  [[nodiscard]] bool bit(const std::vector<std::uint64_t>& bits, std::uint32_t index) const {
-    return (bits[index >> 6] >> (index & 63)) & 1u;
-  }
-  void set_bit(std::vector<std::uint64_t>& bits, std::uint32_t index) const {
-    bits[index >> 6] |= std::uint64_t{1} << (index & 63);
-  }
-  void clear_bit(std::vector<std::uint64_t>& bits, std::uint32_t index) const {
-    bits[index >> 6] &= ~(std::uint64_t{1} << (index & 63));
-  }
   [[nodiscard]] std::uint32_t current_config();
   std::size_t rtc_step(const Event& event);
   void run_completions();
   std::size_t select_and_fire(std::uint32_t plan_index, ActionContext& context);
+  /// Runs a candidate's recorded program (and its live history entry).
   void execute_candidate(const Candidate& candidate, ActionContext& context);
   void execute_steps(std::uint32_t first, std::uint32_t count, ActionContext& context);
-  void do_terminate();
-
-  // Generic (dynamic) entry walk, mirroring the interpreter's entry phase;
-  // used when a plan's entry crosses a history pseudostate.
-  void rt_enter_target(std::uint32_t vertex, std::uint32_t scope, ActionContext& context);
-  void rt_enter_single(std::uint32_t state, ActionContext& context);
-  void rt_default_enter(std::uint32_t region, ActionContext& context);
-  [[nodiscard]] bool rt_region_active(std::uint32_t region) const;
 
   // --- Static tables ---------------------------------------------------------
-  const StateMachine* machine_;
-  std::vector<const Vertex*> vertex_list_;
-  std::vector<const Region*> region_list_;
-  std::vector<VertexInfo> vinfo_;
-  std::vector<RegionInfo> rinfo_;
-  std::vector<TransitionRow> tinfo_;
-  std::unordered_map<const Transition*, std::uint32_t> transition_index_;
-  std::uint32_t words_ = 1;
+  const semantics::MachineTables tables_;
 
   // --- Interned configurations / events / plans (lazily extended) -----------
   std::vector<ConfigRec> configs_;
@@ -288,28 +207,15 @@ class CompiledMachine final : public Engine {
   bool start_dynamic_ = false;
 
   // --- Execution state -------------------------------------------------------
-  std::vector<std::uint64_t> bits_;  ///< Active states + final flags.
+  semantics::ExecState exec_;
   std::uint32_t config_id_ = 0;
-  std::vector<std::int32_t> shallow_slot_;        ///< Per region: vertex or -1.
-  std::vector<std::uint8_t> deep_set_;            ///< Per region: slot engaged.
-  std::vector<std::vector<std::uint32_t>> deep_slot_;
-  std::unordered_map<std::string, std::int64_t> variables_;
-  std::deque<Event> queue_;
-  std::vector<Event> deferred_pool_;
+  bool config_stale_ = false;  ///< Bits changed since config_id_ was interned.
   StateListener listener_;
-  bool started_ = false;
-  bool terminated_ = false;
-  std::uint64_t events_processed_ = 0;
-  std::uint64_t transitions_fired_ = 0;
-  std::uint64_t errors_raised_ = 0;
-  std::uint64_t errors_unhandled_ = 0;
 
   // Dispatch scratch (reused; steady-state allocation-free).
   std::vector<std::uint64_t> claimed_scratch_;
   std::vector<std::uint32_t> selected_scratch_;
-  std::vector<std::uint32_t> order_scratch_;
-  std::deque<std::uint32_t> pending_composites_;  ///< Dynamic entry sweep.
-  int entry_depth_ = 0;
+  semantics::WalkScratch walk_scratch_;
 };
 
 }  // namespace umlsoc::statechart

@@ -5,8 +5,9 @@
 // network, the sim-kernel timer binding, replay snapshots — program against
 // this interface, so either engine slots in without the caller knowing.
 //
-// The interpreter remains the reference semantics; the compiled engine is
-// held to it by the differential harness (statechart_differential_test).
+// Both engines fire through one semantics core (semantics.hpp). The
+// interpreter remains the reference engine; the compiled engine is held to
+// it by the differential harness (statechart_differential_test).
 #pragma once
 
 #include <cstdint>

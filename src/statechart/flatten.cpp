@@ -1,36 +1,41 @@
 #include "statechart/flatten.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "statechart/interpreter.hpp"
+#include "statechart/semantics.hpp"
 
 namespace umlsoc::statechart {
 
 namespace {
 
+constexpr std::size_t kNoLeaf = static_cast<std::size_t>(-1);
+
 class Flattener {
  public:
   Flattener(const StateMachine& machine, support::DiagnosticSink& sink)
-      : machine_(machine), sink_(sink) {}
+      : machine_(machine),
+        sink_(sink),
+        tables_(machine),
+        leaf_of_(tables_.vertices.size(), kNoLeaf),
+        successor_of_(tables_.vertices.size(), kNoLeaf) {}
 
   std::optional<FlatStateMachine> run() {
     if (!check_constraints(machine_.top())) return std::nullopt;
 
-    collect_leaves(machine_.top());
+    collect_leaves();
     if (flat_.states.empty()) {
       sink_.error(machine_.name(), "flatten: machine has no leaf states");
       return std::nullopt;
     }
 
-    const Pseudostate* initial = machine_.top().initial();
-    if (initial == nullptr || initial->outgoing().empty()) {
+    const std::int32_t initial = tables_.regions[0].initial;
+    if (initial < 0) {
       sink_.error(machine_.name(), "flatten: top region has no initial transition");
       return std::nullopt;
     }
-    const Vertex* initial_leaf = default_leaf(initial->outgoing().front()->target());
-    if (initial_leaf == nullptr) return std::nullopt;
-    flat_.initial_state = index_.at(initial_leaf);
+    flat_.initial_state = successor_leaf(tables_.transitions[initial].target);
+    if (failed_) return std::nullopt;
 
     build_rows();
     if (failed_) return std::nullopt;
@@ -78,68 +83,63 @@ class Flattener {
     return ok;
   }
 
-  void collect_leaves(const Region& region) {
-    for (const auto& vertex : region.vertices()) {
-      if (const auto* state = dynamic_cast<const State*>(vertex.get())) {
-        if (state->is_simple()) {
-          add_leaf(state, state->qualified_name());
-        } else {
-          for (const auto& subregion : state->regions()) collect_leaves(*subregion);
-        }
-      } else if (vertex->vertex_kind() == VertexKind::kFinal) {
-        add_leaf(vertex.get(), vertex->qualified_name());
-      }
+  /// Simple states and final states, in document order.
+  void collect_leaves() {
+    for (std::uint32_t v = 0; v < tables_.vertices.size(); ++v) {
+      const semantics::VertexInfo& info = tables_.vertices[v];
+      const bool simple_state = info.state != nullptr && info.state->is_simple();
+      if (!simple_state && info.kind != VertexKind::kFinal) continue;
+      leaf_of_[v] = flat_.states.size();
+      flat_.states.push_back(info.state);  // Null for finals.
+      flat_.state_names.push_back(info.vertex->qualified_name());
+      leaves_.push_back(v);
     }
   }
 
-  void add_leaf(const Vertex* leaf, std::string name) {
-    index_[leaf] = flat_.states.size();
-    flat_.states.push_back(dynamic_cast<const State*>(leaf));  // Null for finals.
-    flat_.state_names.push_back(std::move(name));
-    leaves_.push_back(leaf);
-  }
-
-  /// Resolves a transition target to the leaf reached by default entry.
-  const Vertex* default_leaf(const Vertex& vertex) {
-    const Vertex* current = &vertex;
-    for (int hops = 0; hops < 64; ++hops) {
-      if (current->vertex_kind() == VertexKind::kFinal) return current;
-      const auto* state = dynamic_cast<const State*>(current);
-      if (state == nullptr) {
-        sink_.error(current->qualified_name(), "flatten: cannot default-enter this vertex");
-        failed_ = true;
-        return nullptr;
+  /// Leaf index reached by entering `vertex`: the last vertex the shared
+  /// entry walk enters (the machine is non-orthogonal, so default entry
+  /// descends one chain). Memoized per target vertex.
+  std::size_t successor_leaf(std::uint32_t vertex) {
+    if (successor_of_[vertex] != kNoLeaf) return successor_of_[vertex];
+    std::vector<std::uint64_t> bits(tables_.words, 0);
+    steps_.clear();
+    semantics::Recording recording{&steps_, &leaf_pool_};
+    semantics::Walk(tables_, bits, recording, scratch_)
+        .enter(vertex, tables_.vertices[vertex].container);
+    std::int64_t entered = -1;
+    for (auto it = steps_.rbegin(); it != steps_.rend() && entered < 0; ++it) {
+      if (it->op == semantics::Op::kEnterState || it->op == semantics::Op::kEnterFinal) {
+        entered = it->a;
       }
-      if (state->is_simple()) return state;
-      const Region& region = *state->regions().front();
-      const Pseudostate* initial = region.initial();
-      if (initial == nullptr || initial->outgoing().empty()) {
-        sink_.error(state->qualified_name(), "flatten: composite state without initial");
-        failed_ = true;
-        return nullptr;
-      }
-      current = &initial->outgoing().front()->target();
     }
-    failed_ = true;
-    return nullptr;
+    if (entered < 0) {
+      sink_.error(tables_.vertices[vertex].vertex->qualified_name(),
+                  "flatten: cannot default-enter this vertex");
+      failed_ = true;
+      return kNoLeaf;
+    }
+    if (leaf_of_[entered] == kNoLeaf) {
+      sink_.error(tables_.vertices[entered].vertex->qualified_name(),
+                  "flatten: composite state without initial");
+      failed_ = true;
+      return kNoLeaf;
+    }
+    return successor_of_[vertex] = leaf_of_[entered];
   }
 
   void build_rows() {
-    for (const Vertex* leaf : leaves_) {
-      const auto* leaf_state = dynamic_cast<const State*>(leaf);
-      if (leaf_state == nullptr) continue;  // Finals have no outgoing rows.
-      std::size_t from = index_.at(leaf);
+    for (const std::uint32_t leaf : leaves_) {
+      if (tables_.vertices[leaf].state == nullptr) continue;  // Finals have no rows.
+      const std::size_t from = leaf_of_[leaf];
       // Innermost-first along the ancestor chain: inner rows come first in
       // the per-key vector, preserving UML priority.
-      for (const State* source = leaf_state; source != nullptr;
-           source = source->containing_state()) {
-        for (const Transition* transition : source->outgoing()) {
-          const Vertex* to_leaf = transition->is_internal()
-                                      ? leaf
-                                      : default_leaf(transition->target());
-          if (to_leaf == nullptr) return;
-          FlatTransition row{from, transition->trigger(), index_.at(to_leaf), transition};
-          flat_.transitions.push_back(row);
+      for (std::int64_t source = leaf; source >= 0;
+           source = tables_.vertices[source].parent_state) {
+        for (const std::uint32_t transition : tables_.vertices[source].outgoing) {
+          const semantics::TransitionRow& row = tables_.transitions[transition];
+          const std::size_t to = row.internal ? from : successor_leaf(row.target);
+          if (to == kNoLeaf) return;
+          flat_.transitions.push_back(FlatTransition{from, row.origin->trigger(), to, row.origin});
         }
       }
     }
@@ -170,9 +170,14 @@ class Flattener {
 
   const StateMachine& machine_;
   support::DiagnosticSink& sink_;
+  const semantics::MachineTables tables_;
   FlatStateMachine flat_;
-  std::vector<const Vertex*> leaves_;
-  std::unordered_map<const Vertex*, std::size_t> index_;
+  std::vector<std::uint32_t> leaves_;     ///< Vertex indices of the leaves.
+  std::vector<std::size_t> leaf_of_;      ///< Vertex index -> leaf index.
+  std::vector<std::size_t> successor_of_; ///< Memo of successor_leaf().
+  std::vector<semantics::Step> steps_;
+  std::vector<std::uint32_t> leaf_pool_;
+  semantics::WalkScratch scratch_;
   bool failed_ = false;
 };
 

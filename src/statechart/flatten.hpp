@@ -1,8 +1,9 @@
 // Flattening of hierarchical (non-orthogonal) state machines into a plain
 // transition table: one leaf state is active at a time and each row maps
-// (leaf, trigger) to a successor leaf. Consumed by benchmark E3 (flat vs
-// hierarchical dispatch) and by the differential harness; the AOT plan-table
-// compiler (compile.hpp) generalizes this row/group layout to hierarchical
+// (leaf, trigger) to a successor leaf, the last state the shared entry walk
+// (semantics.hpp) enters. Consumed by benchmark E3 (flat vs hierarchical
+// dispatch) and by the differential harness; the AOT plan-table compiler
+// (compile.hpp) generalizes this row/group layout to hierarchical
 // configurations.
 #pragma once
 

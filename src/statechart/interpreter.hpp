@@ -1,6 +1,8 @@
 // Run-to-completion executor for state machines (STATEMATE-style semantics,
 // paper ref [2]). One instance holds the active configuration, event pool,
-// and history memory of one machine execution.
+// and history memory of one machine execution. It is the reference engine:
+// every step selects and fires live through the shared semantics core
+// (semantics.hpp), with no plans, and records a trace.
 //
 // Semantics implemented:
 //  * RTC step: one event is dispatched, a maximal conflict-free set of
@@ -9,9 +11,10 @@
 //  * Exit set = active states inside the transition's domain (the innermost
 //    region containing source and target); exits run innermost-first,
 //    entries outermost-first, effects in between.
-//  * Choice/junction chains are resolved at selection time, collecting the
-//    segment effects in order (documented simplification for choice: guards
-//    see the state before segment effects run).
+//  * Choice/junction chains are resolved when the transition fires, before
+//    any of its behaviors run, collecting the segment effects in order
+//    (documented simplification for choice: guards see the state before
+//    segment effects run).
 //  * Shallow history restores the last active direct substate; deep history
 //    restores the full leaf configuration of the region.
 //  * Events deferred by an active state are retained and recalled — ahead
@@ -21,14 +24,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "statechart/engine.hpp"
 #include "statechart/model.hpp"
+#include "statechart/semantics.hpp"
 #include "support/diagnostics.hpp"
 
 namespace umlsoc::statechart {
@@ -52,7 +53,7 @@ class StateMachineInstance final : public Engine {
   /// Events waiting in the ordinary pool (excludes the deferred pool).
   /// Network harnesses (verify::Network) poll this to drain cross-posted
   /// work to quiescence without capturing a snapshot.
-  [[nodiscard]] std::size_t pending_events() const override { return queue_.size(); }
+  [[nodiscard]] std::size_t pending_events() const override { return exec_.queue.size(); }
 
   /// Error-event channel: fault monitors (bus ports, watchdogs) report
   /// failures here. Error events jump ahead of the normal pool — an error
@@ -69,19 +70,20 @@ class StateMachineInstance final : public Engine {
 
   // --- Introspection --------------------------------------------------------
 
-  [[nodiscard]] const StateMachine& machine() const override { return machine_; }
-  [[nodiscard]] bool is_active(const State& state) const { return config_.contains(&state); }
+  [[nodiscard]] const StateMachine& machine() const override { return *tables_.machine; }
+  [[nodiscard]] bool is_active(const State& state) const;
   /// True when any active state (at any depth) has this name.
   [[nodiscard]] bool is_in(std::string_view state_name) const override;
   /// Names of active simple (leaf) states, in stable order.
   [[nodiscard]] std::vector<std::string> active_leaf_names() const override;
-  [[nodiscard]] const std::unordered_set<const State*>& configuration() const { return config_; }
+  /// Active states at any depth, in document order.
+  [[nodiscard]] std::vector<const State*> configuration() const;
   /// True when the top region has reached a final state.
   [[nodiscard]] bool is_in_final_state() const override;
   /// True after a terminate pseudostate was reached; the instance is dead
   /// (dispatch becomes a no-op).
-  [[nodiscard]] bool is_terminated() const override { return terminated_; }
-  [[nodiscard]] bool started() const override { return started_; }
+  [[nodiscard]] bool is_terminated() const override { return exec_.terminated; }
+  [[nodiscard]] bool started() const override { return exec_.started; }
 
   // --- Observability ---------------------------------------------------------
 
@@ -91,14 +93,18 @@ class StateMachineInstance final : public Engine {
   [[nodiscard]] const std::vector<std::string>& trace() const { return trace_; }
   void clear_trace() { trace_.clear(); }
 
-  [[nodiscard]] std::uint64_t events_processed() const override { return events_processed_; }
-  [[nodiscard]] std::uint64_t transitions_fired() const override { return transitions_fired_; }
-  [[nodiscard]] std::uint64_t errors_raised() const override { return errors_raised_; }
-  [[nodiscard]] std::uint64_t errors_unhandled() const override { return errors_unhandled_; }
+  [[nodiscard]] std::uint64_t events_processed() const override { return exec_.events_processed; }
+  [[nodiscard]] std::uint64_t transitions_fired() const override { return exec_.transitions_fired; }
+  [[nodiscard]] std::uint64_t errors_raised() const override { return exec_.errors_raised; }
+  [[nodiscard]] std::uint64_t errors_unhandled() const override { return exec_.errors_unhandled; }
 
   /// Machine-variable store available to guards/effects via ActionContext.
-  [[nodiscard]] std::int64_t variable(const std::string& name) const override;
-  void set_variable(const std::string& name, std::int64_t value) override;
+  [[nodiscard]] std::int64_t variable(const std::string& name) const override {
+    return exec_.variable(name);
+  }
+  void set_variable(const std::string& name, std::int64_t value) override {
+    exec_.variables[name] = value;
+  }
 
   void set_state_listener(StateListener listener) override { listener_ = std::move(listener); }
 
@@ -124,84 +130,33 @@ class StateMachineInstance final : public Engine {
   static constexpr int kMaxMicrosteps = 10000;
 
  private:
-  struct ResolvedPath {
-    const Vertex* final_target = nullptr;       // State, FinalState, or history.
-    std::vector<const Behavior*> effects;        // Segment effects, in order.
-    bool broken = false;                         // Unresolvable choice, etc.
-  };
-
   void note(std::string entry) {
     if (trace_enabled_) trace_.push_back(std::move(entry));
   }
-
-  /// Follows choice/junction chains from `transition`, evaluating guards now.
-  ResolvedPath resolve_path(const Transition& transition, ActionContext& context);
-
-  /// Innermost region containing both vertices (the transition domain).
-  [[nodiscard]] const Region* domain_of(const Vertex& source, const Vertex& target) const;
-
-  /// Active states lying inside `scope` (at any depth).
-  [[nodiscard]] std::vector<const State*> active_within(const Region& scope) const;
-
-  void exit_states(const std::vector<const State*>& states, ActionContext& context);
-  void record_history(const State& exiting);
-
-  void enter_single(const State& state, ActionContext& context);
-  /// Enters the chain of states from `scope` (exclusive) down to `vertex`,
-  /// then processes `vertex` itself (state entry, final marking, history
-  /// restoration). `scope` must contain `vertex`.
-  void enter_target(const Vertex& vertex, const Region& scope, ActionContext& context);
-  void default_enter_region(const Region& region, ActionContext& context);
-  void enter_state_and_regions(const State& state, const Region& scope, ActionContext& context);
-  void restore_deep_history(const Region& region, ActionContext& context);
-
-  /// Fires one resolved external/internal transition.
-  void fire(const Transition& transition, ActionContext& context);
 
   /// One RTC step for `event`; returns number of transitions fired.
   std::size_t rtc_step(const Event& event);
   /// Fires completion transitions until none are enabled.
   void run_completions();
-  [[nodiscard]] bool state_completed(const State& state) const;
-  [[nodiscard]] bool region_in_final(const Region& region) const;
+  /// Greedy maximal conflict-free selection into selected_ (innermost
+  /// priority, guards evaluated now).
+  void select_transitions(const Event* event);
+  /// Fires the selected transitions whose source is still active; returns
+  /// how many were attempted.
+  std::size_t fire_selected(const Event* event);
 
-  /// Greedy maximal conflict-free selection, innermost priority.
-  std::vector<const Transition*> select_transitions(const Event* event);
-
-  /// Pre-order position of `vertex` in machine().all_vertices() — the
-  /// document order used as the deterministic tie-break wherever same-depth
-  /// states compete (transition selection, exit order, history leaves).
-  [[nodiscard]] std::uint32_t vertex_order(const Vertex& vertex) const {
-    return vertex_order_.at(&vertex);
-  }
-
-  const StateMachine& machine_;
-  // Snapshot addressing and ordering caches, built once at construction:
-  // all_vertices()/all_regions() in pre-order plus the inverse maps. Shared
-  // by capture/restore (no per-call index rebuild) and by the deterministic
-  // sort comparators.
-  std::vector<const Vertex*> vertex_list_;
-  std::vector<const Region*> region_list_;
-  std::unordered_map<const Vertex*, std::uint32_t> vertex_order_;
-  std::unordered_map<const Region*, std::uint32_t> region_order_;
-  std::unordered_set<const State*> config_;
-  std::deque<const State*> pending_regions_;
-  int entry_depth_ = 0;
-  std::unordered_set<const FinalState*> active_finals_;
-  std::unordered_map<const Region*, const State*> shallow_history_;
-  std::unordered_map<const Region*, std::vector<const State*>> deep_history_;
-  std::unordered_map<std::string, std::int64_t> variables_;
-  std::deque<Event> queue_;
-  std::vector<Event> deferred_pool_;
+  const semantics::MachineTables tables_;
+  semantics::ExecState exec_;
+  semantics::WalkScratch walk_scratch_;
   StateListener listener_;
   std::vector<std::string> trace_;
   bool trace_enabled_ = true;
-  bool started_ = false;
-  bool terminated_ = false;
-  std::uint64_t events_processed_ = 0;
-  std::uint64_t transitions_fired_ = 0;
-  std::uint64_t errors_raised_ = 0;
-  std::uint64_t errors_unhandled_ = 0;
+
+  // Selection scratch (reused across steps).
+  std::vector<std::uint32_t> order_;
+  std::vector<std::uint32_t> selected_;
+  std::vector<std::uint64_t> claim_;
+  std::vector<std::uint64_t> claimed_;
 };
 
 }  // namespace umlsoc::statechart

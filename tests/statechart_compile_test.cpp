@@ -1,7 +1,7 @@
 // Unit tests for the AOT statechart compiler (statechart/compile.hpp):
-// the fallback contract (unsupported machines are rejected with a
-// diagnostic and run on the interpreter), plan-table introspection used by
-// the codegen/software emitter, AOT seeding, and snapshot validation.
+// every machine compiles (choice/junction targets become live candidates),
+// plan-table introspection used by the codegen/software emitter, AOT
+// seeding, and snapshot validation.
 // Semantic equivalence with the interpreter is covered separately by
 // statechart_differential_test.cpp.
 #include <gtest/gtest.h>
@@ -71,30 +71,54 @@ TEST(Compile, CanReactAnswersFromThePlanTable) {
   EXPECT_TRUE(engine.can_react(Event{"unknown"}));
 }
 
-TEST(Compile, RejectsChoicePseudostates) {
+/// The one candidate of `compiled`'s plans whose transition starts at the
+/// vertex named `source`.
+const CompiledMachine::Candidate* candidate_from(const CompiledMachine& compiled,
+                                                 const std::string& source) {
+  for (const auto& candidate : compiled.candidate_table()) {
+    const auto& row = compiled.transition_table()[candidate.transition];
+    if (row.origin->source().name() == source) return &candidate;
+  }
+  return nullptr;
+}
+
+TEST(Compile, CompilesChoicePseudostates) {
   StateMachine machine("choosy");
   Region& top = machine.top();
   Pseudostate& initial = top.add_initial();
   State& a = top.add_state("A");
   State& b = top.add_state("B");
+  State& c = top.add_state("C");
   Pseudostate& choice = top.add_pseudostate(VertexKind::kChoice, "pick");
   top.add_transition(initial, a);
   top.add_transition(a, choice).set_trigger("go");
+  top.add_transition(choice, c).set_guard(
+      "n > 0", [](const ActionContext& context) { return context.instance.variable("n") > 0; });
   top.add_transition(choice, b).set_guard("else", nullptr);
 
   support::DiagnosticSink sink;
-  EXPECT_EQ(compile(machine, sink), nullptr);
-  EXPECT_TRUE(sink.has_errors());
-  EXPECT_NE(sink.str().find("choice"), std::string::npos) << sink.str();
+  auto compiled = compile(machine, sink);
+  ASSERT_NE(compiled, nullptr) << sink.str();
+  EXPECT_FALSE(sink.has_errors());
 
-  // Fallback contract: the same machine runs on the interpreter.
+  // The choice target has no static program: the whole firing is live.
+  const CompiledMachine::Candidate* go = candidate_from(*compiled, "A");
+  ASSERT_NE(go, nullptr);
+  EXPECT_TRUE(go->dynamic_entry);
+  EXPECT_EQ(go->step_count, 0u);
+
+  // Both engines take the same branch.
   StateMachineInstance interpreter(machine);
   interpreter.start();
+  compiled->start();
   EXPECT_TRUE(interpreter.dispatch(Event{"go"}));
+  EXPECT_TRUE(compiled->dispatch(Event{"go"}));
   EXPECT_TRUE(interpreter.is_in("B"));
+  EXPECT_TRUE(compiled->is_in("B"));
+  EXPECT_EQ(compiled->capture(), interpreter.capture());
 }
 
-TEST(Compile, RejectsJunctionPseudostates) {
+TEST(Compile, CompilesJunctionPseudostates) {
   StateMachine machine("junctional");
   Region& top = machine.top();
   Pseudostate& initial = top.add_initial();
@@ -104,10 +128,21 @@ TEST(Compile, RejectsJunctionPseudostates) {
   top.add_transition(initial, a);
   top.add_transition(a, junction).set_trigger("go");
   top.add_transition(junction, b);
+  top.add_transition(b, a).set_trigger("back");
 
   support::DiagnosticSink sink;
-  EXPECT_EQ(compile(machine, sink), nullptr);
-  EXPECT_TRUE(sink.has_errors());
+  auto compiled = compile(machine, sink);
+  ASSERT_NE(compiled, nullptr) << sink.str();
+  EXPECT_FALSE(sink.has_errors());
+
+  StateMachineInstance interpreter(machine);
+  interpreter.start();
+  compiled->start();
+  for (const char* name : {"go", "back", "go", "go"}) {
+    EXPECT_EQ(interpreter.dispatch(Event{name}), compiled->dispatch(Event{name})) << name;
+    EXPECT_EQ(compiled->capture(), interpreter.capture()) << name;
+  }
+  EXPECT_TRUE(compiled->is_in("B"));
 }
 
 TEST(Compile, SeedsReachablePlansAheadOfTime) {

@@ -5,10 +5,15 @@
 //    RTL-generation path, is semantics-preserving;
 //  * interpreter vs AOT-compiled plan-table engine (compile.hpp), compared
 //    snapshot-for-snapshot after EVERY dispatch over the synthetic model
-//    zoo plus uart-style guarded/error-channel machines — identical
-//    configurations, history memory, variables, emitted/deferred events and
-//    all four counters, under ordinary and error-channel dispatch.
+//    zoo plus uart-style guarded/error-channel and choice/junction machines
+//    — identical configurations, history memory, variables, emitted/deferred
+//    events and all four counters, under ordinary and error-channel
+//    dispatch — and the same state-listener calls and entry/exit/effect
+//    behavior runs, in the same order, per dispatch.
 #include <gtest/gtest.h>
+
+#include <map>
+#include <memory>
 
 #include "statechart/compile.hpp"
 #include "statechart/flatten.hpp"
@@ -88,25 +93,78 @@ void expect_snapshots_equal(const InstanceSnapshot& reference, const InstanceSna
   ASSERT_EQ(reference, compiled) << where;
 }
 
-/// Runs both engines over `machine` in lockstep: every event in `stream` is
-/// dispatched to both (through the error channel when `error` is set) and
-/// the full snapshots must match after every single dispatch.
+/// One dispatch of a lockstep stream.
 struct StreamEntry {
   Event event;
   bool error = false;
 };
 
-void run_lockstep(const StateMachine& machine, const std::vector<StreamEntry>& stream) {
+/// Entry, exit and effect runs per engine, in order: instrument() wraps
+/// every behavior of a machine (empty ones included) to log into the list
+/// of the engine that runs it.
+using BehaviorLogs = std::map<const Engine*, std::vector<std::string>>;
+
+Behavior logging(const Behavior& behavior, std::string label,
+                 const std::shared_ptr<BehaviorLogs>& logs) {
+  return Behavior{behavior.text, [logs, label = std::move(label), fn = behavior.fn](
+                                     ActionContext& context) {
+                    (*logs)[&context.instance].push_back(label);
+                    if (fn != nullptr) fn(context);
+                  }};
+}
+
+void instrument(Region& region, const std::shared_ptr<BehaviorLogs>& logs) {
+  for (const auto& transition : region.transitions()) {
+    transition->set_effect(logging(transition->effect(), "effect:" + transition->str(), logs));
+  }
+  for (const auto& vertex : region.vertices()) {
+    auto* state = dynamic_cast<State*>(vertex.get());
+    if (state == nullptr) continue;
+    state->set_entry(logging(state->entry(), "entry:" + state->name(), logs));
+    state->set_exit(logging(state->exit_behavior(), "exit:" + state->name(), logs));
+    for (const auto& subregion : state->regions()) instrument(*subregion, logs);
+  }
+}
+
+/// Runs both engines over `machine` in lockstep: every event in `stream` is
+/// dispatched to both (through the error channel when `error` is set). After
+/// every single dispatch the full snapshots must match, and so must the
+/// state-listener calls and the behavior runs (instrument() wraps the
+/// machine's behaviors), in order.
+void run_lockstep(StateMachine& machine, const std::vector<StreamEntry>& stream) {
+  auto logs = std::make_shared<BehaviorLogs>();
+  instrument(machine.top(), logs);
+  std::vector<std::string> reference_calls;
+  std::vector<std::string> compiled_calls;
   support::DiagnosticSink compile_sink;
   auto compiled = compile(machine, compile_sink);
   ASSERT_NE(compiled, nullptr) << compile_sink.str();
 
   StateMachineInstance interpreter(machine);
   interpreter.set_trace_enabled(false);
+  const auto listen = [](std::vector<std::string>& calls) {
+    return [&calls](const State& state, bool entered) {
+      calls.push_back((entered ? "+" : "-") + state.name());
+    };
+  };
+  interpreter.set_state_listener(listen(reference_calls));
+  compiled->set_state_listener(listen(compiled_calls));
+  std::vector<std::string>& reference_runs = (*logs)[&interpreter];
+  std::vector<std::string>& compiled_runs = (*logs)[compiled.get()];
+  const auto expect_same_behavior = [&](const std::string& where) {
+    EXPECT_EQ(reference_calls, compiled_calls) << where << ": state listener calls";
+    EXPECT_EQ(reference_runs, compiled_runs) << where << ": behavior runs";
+    reference_calls.clear();
+    compiled_calls.clear();
+    reference_runs.clear();
+    compiled_runs.clear();
+  };
+
   interpreter.start();
   compiled->start();
   expect_snapshots_equal(interpreter.capture(), compiled->capture(),
                          machine.name() + " after start");
+  expect_same_behavior(machine.name() + " after start");
 
   for (std::size_t step = 0; step < stream.size(); ++step) {
     const StreamEntry& entry = stream[step];
@@ -123,6 +181,7 @@ void run_lockstep(const StateMachine& machine, const std::vector<StreamEntry>& s
                               entry.event.name + (entry.error ? " (error channel)" : "");
     ASSERT_EQ(reference_fired, compiled_fired) << where;
     expect_snapshots_equal(interpreter.capture(), compiled->capture(), where);
+    expect_same_behavior(where);
   }
 }
 
@@ -314,6 +373,159 @@ TEST(CompiledDifferential, UartStyleGuardsAndErrorChannel) {
   run_lockstep(*machine,
                random_stream(99, {"tx", "ack", "nak", "bus_error", "reset", "noise"}, 600,
                              0.2));
+}
+
+/// A top-level state whose "dive" transition targets the innermost leaf of
+/// a `depth`-level nest of composites: the entry chain is `depth` long.
+std::unique_ptr<StateMachine> make_deep_target_machine(std::size_t depth) {
+  auto machine = std::make_unique<StateMachine>("deep" + std::to_string(depth));
+  Region& top = machine->top();
+  State& start = top.add_state("Start");
+  top.add_transition(top.add_initial(), start);
+  Region* region = &top;
+  State* level = nullptr;
+  for (std::size_t i = 0; i < depth; ++i) {
+    if (level != nullptr) region = &level->add_region("r" + std::to_string(i));
+    level = &region->add_state("L" + std::to_string(i));
+    if (region != &top) region->add_transition(region->add_initial(), *level);
+  }
+  top.add_transition(start, *level).set_trigger("dive");
+  top.add_transition(*level, start).set_trigger("surface");
+  return machine;
+}
+
+TEST(CompiledDifferential, DeepTargetChain) {
+  for (const std::size_t depth : {std::size_t{66}, std::size_t{70}}) {
+    auto machine = make_deep_target_machine(depth);
+    run_lockstep(*machine, random_stream(depth, {"dive", "surface"}, 40));
+
+    support::DiagnosticSink sink;
+    auto compiled = compile(*machine, sink);
+    ASSERT_NE(compiled, nullptr) << sink.str();
+    compiled->start();
+    ASSERT_TRUE(compiled->dispatch(Event{"dive"}));
+    EXPECT_EQ(compiled->capture().active_states.size(), depth);
+  }
+}
+
+// --- Choice and junction machines (compiled through the live walk) --------------
+
+/// The verifier benchmark's choice/junction pair: S0 -go-> choice:
+/// [n < limit] / n := n + 1 -> S1, [n >= limit] -> S2; S1 -hop-> junction:
+/// [n even] -> S0, [n odd] -> S1; S2 -reset / n := 0-> S0.
+std::unique_ptr<StateMachine> make_choice_junction_machine(std::int64_t limit) {
+  auto machine = std::make_unique<StateMachine>("ChoiceJunction");
+  Region& top = machine->top();
+  State& s0 = top.add_state("S0");
+  State& s1 = top.add_state("S1");
+  State& s2 = top.add_state("S2");
+  Pseudostate& choice = top.add_pseudostate(VertexKind::kChoice, "C");
+  Pseudostate& junction = top.add_pseudostate(VertexKind::kJunction, "J");
+  top.add_transition(top.add_initial(), s0).set_effect("n := 0", [](ActionContext& c) {
+    c.instance.set_variable("n", 0);
+  });
+  top.add_transition(s0, choice).set_trigger("go");
+  top.add_transition(choice, s1)
+      .set_guard("n < limit",
+                 [limit](const ActionContext& c) { return c.instance.variable("n") < limit; })
+      .set_effect("n := n + 1", [](ActionContext& c) {
+        c.instance.set_variable("n", c.instance.variable("n") + 1);
+      });
+  top.add_transition(choice, s2).set_guard(
+      "n >= limit", [limit](const ActionContext& c) { return c.instance.variable("n") >= limit; });
+  top.add_transition(s1, junction).set_trigger("hop");
+  top.add_transition(junction, s0).set_guard("n even", [](const ActionContext& c) {
+    return c.instance.variable("n") % 2 == 0;
+  });
+  top.add_transition(junction, s1).set_guard("n odd", [](const ActionContext& c) {
+    return c.instance.variable("n") % 2 != 0;
+  });
+  top.add_transition(s2, s0).set_trigger("reset").set_effect(
+      "n := 0", [](ActionContext& c) { c.instance.set_variable("n", 0); });
+  return machine;
+}
+
+TEST(CompiledDifferential, ChoiceJunctionNetworkShape) {
+  for (const std::int64_t limit : {4, 5, 6}) {
+    auto machine = make_choice_junction_machine(limit);
+    run_lockstep(*machine, random_stream(static_cast<std::uint64_t>(limit),
+                                         {"go", "hop", "reset", "noise"}, 400, 0.1));
+  }
+}
+
+/// The exec tests' choice shapes in one machine: a choice routed by event
+/// data with an else branch, a choice whose unguarded branch always wins,
+/// a junction chain with segment effects, and a choice inside a composite
+/// that can leave it (its path reaches beyond the transition's claim).
+std::unique_ptr<StateMachine> make_choice_shapes_machine() {
+  auto machine = std::make_unique<StateMachine>("choices");
+  Region& top = machine->top();
+  State& a = top.add_state("A");
+  State& low = top.add_state("Low");
+  State& high = top.add_state("High");
+  State& p = top.add_state("P");
+  top.add_transition(top.add_initial(), a);
+  Pseudostate& by_data = top.add_pseudostate(VertexKind::kChoice, "byData");
+  top.add_transition(a, by_data).set_trigger("val");
+  top.add_transition(by_data, high).set_guard("data>=4", [](const ActionContext& c) {
+    return c.event != nullptr && c.event->data >= 4;
+  });
+  top.add_transition(by_data, low).set_guard(Guard{"else", nullptr});
+  Pseudostate& first_open = top.add_pseudostate(VertexKind::kChoice, "firstOpen");
+  top.add_transition(low, first_open).set_trigger("go");
+  top.add_transition(first_open, a);
+  top.add_transition(first_open, high).set_guard(Guard{"else", nullptr});
+  Pseudostate& chain = top.add_pseudostate(VertexKind::kJunction, "chain");
+  top.add_transition(high, chain).set_trigger("go").set_effect("seg1", [](ActionContext& c) {
+    c.instance.set_variable("segs", (c.instance.variable("segs") * 10 + 1) % 1000000);
+  });
+  top.add_transition(chain, p).set_effect("seg2", [](ActionContext& c) {
+    c.instance.set_variable("segs", (c.instance.variable("segs") * 10 + 2) % 1000000);
+  });
+
+  // P: two orthogonal regions; r1's choice either stays in r1 or leaves P.
+  Region& r1 = p.add_region("r1");
+  State& x1 = r1.add_state("X1");
+  State& x2 = r1.add_state("X2");
+  r1.add_transition(r1.add_initial(), x1);
+  Pseudostate& escape = r1.add_pseudostate(VertexKind::kChoice, "escape");
+  r1.add_transition(x1, escape).set_trigger("tick");
+  r1.add_transition(escape, a).set_guard("data odd", [](const ActionContext& c) {
+    return c.event != nullptr && c.event->data % 2 != 0;
+  });
+  r1.add_transition(escape, x2).set_guard(Guard{"else", nullptr});
+  r1.add_transition(x2, x1).set_trigger("tick");
+  Region& r2 = p.add_region("r2");
+  State& y1 = r2.add_state("Y1");
+  State& y2 = r2.add_state("Y2");
+  r2.add_transition(r2.add_initial(), y1);
+  r2.add_transition(y1, y2).set_trigger("tick");
+  r2.add_transition(y2, y1).set_trigger("tick");
+  return machine;
+}
+
+TEST(CompiledDifferential, ExecTestChoiceShapes) {
+  auto machine = make_choice_shapes_machine();
+  run_lockstep(*machine, random_stream(17, {"val", "go", "tick", "noise"}, 600, 0.1));
+}
+
+/// A transition into an initial pseudostate enters its region's owner and
+/// default-enters the region, as the interpreter does.
+TEST(CompiledDifferential, TransitionIntoInitialPseudostate) {
+  auto machine = std::make_unique<StateMachine>("into-initial");
+  Region& top = machine->top();
+  State& idle = top.add_state("Idle");
+  State& busy = top.add_state("Busy");
+  top.add_transition(top.add_initial(), idle);
+  Region& inner = busy.add_region("inner");
+  Pseudostate& inner_initial = inner.add_initial();
+  State& b1 = inner.add_state("B1");
+  State& b2 = inner.add_state("B2");
+  inner.add_transition(inner_initial, b1);
+  inner.add_transition(b1, b2).set_trigger("next");
+  top.add_transition(idle, inner_initial).set_trigger("go");
+  top.add_transition(busy, idle).set_trigger("stop");
+  run_lockstep(*machine, random_stream(5, {"go", "next", "stop"}, 200));
 }
 
 TEST(CompiledDifferential, SnapshotsInterchangeableBetweenEngines) {
