@@ -1,12 +1,10 @@
-// E17 "Binary checkpointing": encode/restore wall time for XML vs binary
+// E17 "Binary checkpointing": encode/restore wall time for full binary
 // snapshots, and incremental delta size on a SoC-shaped rig (bus, fault
 // plan, watchdog, supervisor, breaker, health registry, event recorder,
-// value bank, N statecharts). Expected shape: binary encode and restore
-// both >=5x faster than XML (no document tree, no text formatting or
-// parsing), and a steady-state delta with <20% of sections dirty >=5x
-// smaller than its full base. BM_IncrementalEncodeGrowingRecorder: delta
-// encode time stays flat as the event log grows (append-only recorder
-// section).
+// value bank, N statecharts). Expected shape: a steady-state delta with
+// <20% of sections dirty >=5x smaller than its full base.
+// BM_IncrementalEncodeGrowingRecorder: delta encode time stays flat as the
+// event log grows (append-only recorder section).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -162,22 +160,6 @@ struct BenchRig {
 constexpr std::size_t kMachines = 8;     // The uart_soc-scale rig.
 constexpr std::uint64_t kWarmTicks = 200;  // Populates the event log.
 
-void BM_SnapshotXmlEncode(benchmark::State& state) {
-  BenchRig rig(kMachines);
-  rig.run_ticks(kWarmTicks);
-  std::string snapshot;
-  support::DiagnosticSink sink;
-  for (auto _ : state) {
-    snapshot.clear();
-    if (!replay::save_snapshot(rig.targets(), snapshot, sink)) state.SkipWithError("save failed");
-    benchmark::DoNotOptimize(snapshot);
-  }
-  state.counters["bytes"] = static_cast<double>(snapshot.size());
-  state.counters["snapshots/s"] =
-      benchmark::Counter(static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SnapshotXmlEncode)->Unit(benchmark::kMicrosecond);
-
 void BM_SnapshotBinaryEncode(benchmark::State& state) {
   BenchRig rig(kMachines);
   rig.run_ticks(kWarmTicks);
@@ -185,7 +167,7 @@ void BM_SnapshotBinaryEncode(benchmark::State& state) {
   support::DiagnosticSink sink;
   for (auto _ : state) {
     snapshot.clear();
-    if (!replay::save_snapshot_binary(rig.targets(), snapshot, sink)) {
+    if (!replay::save_snapshot(rig.targets(), snapshot, sink)) {
       state.SkipWithError("save failed");
     }
     benchmark::DoNotOptimize(snapshot);
@@ -196,7 +178,7 @@ void BM_SnapshotBinaryEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotBinaryEncode)->Unit(benchmark::kMicrosecond);
 
-void BM_SnapshotXmlRestore(benchmark::State& state) {
+void BM_SnapshotBinaryRestore(benchmark::State& state) {
   BenchRig source(kMachines);
   source.run_ticks(kWarmTicks);
   std::string snapshot;
@@ -209,28 +191,6 @@ void BM_SnapshotXmlRestore(benchmark::State& state) {
   for (auto _ : state) {
     support::DiagnosticSink restore_sink;
     if (!replay::restore_snapshot(target.targets(), snapshot, restore_sink)) {
-      state.SkipWithError("restore failed");
-    }
-  }
-  state.counters["bytes"] = static_cast<double>(snapshot.size());
-  state.counters["restores/s"] =
-      benchmark::Counter(static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SnapshotXmlRestore)->Unit(benchmark::kMicrosecond);
-
-void BM_SnapshotBinaryRestore(benchmark::State& state) {
-  BenchRig source(kMachines);
-  source.run_ticks(kWarmTicks);
-  std::string snapshot;
-  support::DiagnosticSink sink;
-  if (!replay::save_snapshot_binary(source.targets(), snapshot, sink)) {
-    state.SkipWithError("save failed");
-    return;
-  }
-  BenchRig target(kMachines);
-  for (auto _ : state) {
-    support::DiagnosticSink restore_sink;
-    if (!replay::restore_snapshot_binary(target.targets(), snapshot, restore_sink)) {
       state.SkipWithError("restore failed");
     }
   }

@@ -103,6 +103,7 @@
 #include "codegen/swruntime.hpp"
 #include "codegen/systemc.hpp"
 #include "mda/transform.hpp"
+#include "replay/binary.hpp"
 #include "replay/recovery.hpp"
 #include "replay/snapshot.hpp"
 #include "replay/store.hpp"
@@ -1782,12 +1783,9 @@ int main(int argc, char** argv) {
               perturbed.recorder.divergence()->str().c_str());
 
   // Corruption rejection: a flipped byte must fail the checksum, loudly.
+  // The byte before the trailer is the last byte of the last section.
   std::string corrupted = snapshot;
-  const std::size_t flip = corrupted.find("rng-state=\"");
-  if (flip != std::string::npos) {
-    char& digit = corrupted[flip + 11];
-    digit = digit == '9' ? '1' : '9';
-  }
+  corrupted[corrupted.size() - replay::kBinaryTrailer.size() - 1] ^= 0x01;
   support::DiagnosticSink corrupt_sink;
   ReplayRig victim(*bundle.psm_uart, *bundle.psm_profile, health, base, sink);
   if (replay::restore_snapshot(victim.targets(), corrupted, corrupt_sink)) {

@@ -1098,45 +1098,6 @@ bool image_from_binary_chain(const std::vector<std::string_view>& chain, Snapsho
   return assemble_image(sections, image, sink);
 }
 
-bool save_snapshot_binary(const SnapshotTargets& targets, std::string& out,
-                          support::DiagnosticSink& sink) {
-  const auto started = std::chrono::steady_clock::now();
-  SnapshotImage image;
-  if (!capture_image(targets, image, sink)) return false;
-  out = image_to_binary(image);
-  const std::size_t sections = image.section_count();
-  targets.kernel->note_snapshot_encode(out.size(), sections, sections, elapsed_ns(started));
-  return true;
-}
-
-bool restore_snapshot_binary(const SnapshotTargets& targets, std::string_view data,
-                             support::DiagnosticSink& sink) {
-  if (targets.kernel == nullptr) {
-    sink.error("snapshot", "no kernel target registered");
-    return false;
-  }
-  const auto started = std::chrono::steady_clock::now();
-  SnapshotImage image;
-  if (!image_from_binary(data, image, sink)) return false;
-  if (!apply_image(targets, image, sink)) return false;
-  targets.kernel->note_snapshot_restore(elapsed_ns(started));
-  return true;
-}
-
-bool binary_to_xml(std::string_view binary, std::string& xml, support::DiagnosticSink& sink) {
-  SnapshotImage image;
-  if (!image_from_binary(binary, image, sink)) return false;
-  xml = image_to_xml(image);
-  return true;
-}
-
-bool xml_to_binary(std::string_view xml, std::string& binary, support::DiagnosticSink& sink) {
-  SnapshotImage image;
-  if (!image_from_xml(xml, image, sink)) return false;
-  binary = image_to_binary(image);
-  return true;
-}
-
 // --- incremental encoding ----------------------------------------------------
 
 namespace {

@@ -1,10 +1,10 @@
-// Binary snapshot encoding: the high-frequency checkpoint format.
+// Binary snapshot encoding: the one on-disk format for every snapshot —
+// save_snapshot/restore_snapshot, CheckpointStore rungs and delta chains.
 //
-// Same content, same section structure and same refusal rules as the XML
-// snapshot (replay/snapshot.hpp) — both formats are pure transcodings of
-// SnapshotImage, which is what makes the binary<->XML converters lossless
-// by construction. XML stays the inspection format; binary is what the
-// CheckpointStore writes on the hot path.
+// The codec is a pure transcoder of SnapshotImage (replay/snapshot.hpp):
+// capture_image/apply_image own the refusal rules and the section/target
+// matching, this file owns bytes. IncrementalEncoder streams the same
+// section payloads straight from live state on the checkpoint hot path.
 //
 // File layout (all integers little-endian):
 //
@@ -104,27 +104,6 @@ struct BinarySnapshotInfo {
 [[nodiscard]] bool image_from_binary_chain(const std::vector<std::string_view>& chain,
                                            SnapshotImage& image,
                                            support::DiagnosticSink& sink);
-
-/// save_snapshot, binary edition: same refusal rules (capture_image), binary
-/// encoding, SnapshotStats accounting on the kernel.
-[[nodiscard]] bool save_snapshot_binary(const SnapshotTargets& targets, std::string& out,
-                                        support::DiagnosticSink& sink);
-
-/// restore_snapshot, binary edition (standalone full snapshots). Fully
-/// validates before touching any target.
-[[nodiscard]] bool restore_snapshot_binary(const SnapshotTargets& targets,
-                                           std::string_view data,
-                                           support::DiagnosticSink& sink);
-
-// --- converters --------------------------------------------------------------
-// Lossless in both directions: each side decodes to SnapshotImage and
-// re-encodes with the other codec, so xml -> binary -> xml reproduces the
-// canonical XML document byte-for-byte (checksums included).
-
-[[nodiscard]] bool binary_to_xml(std::string_view binary, std::string& xml,
-                                 support::DiagnosticSink& sink);
-[[nodiscard]] bool xml_to_binary(std::string_view xml, std::string& binary,
-                                 support::DiagnosticSink& sink);
 
 // --- incremental encoding ----------------------------------------------------
 

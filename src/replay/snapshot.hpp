@@ -1,12 +1,12 @@
 // Versioned checkpoint/restore for executable models.
 //
-// A snapshot is an XML document (reusing the xmi writer/parser) capturing
-// everything a deterministic setup cannot reconstruct on its own: kernel
-// time, sequence counter and pending timed-event metadata; fault-plan RNG
-// stream positions and counters; statechart instance configurations
-// (active states, history, variables, event pools); bus pipeline state;
-// watchdog supervision flags; generic value banks (register files); and
-// the event-recorder log.
+// A snapshot captures everything a deterministic setup cannot reconstruct
+// on its own: kernel time, sequence counter and pending timed-event
+// metadata; fault-plan RNG stream positions and counters; statechart
+// instance configurations (active states, history, variables, event
+// pools); bus pipeline state; watchdog supervision flags; generic value
+// banks (register files); and the event-recorder log. It is stored in the
+// binary format of replay/binary.hpp (per-section FNV-1a checksums).
 //
 // What is NOT captured — and why restore works anyway: process bodies,
 // callbacks and model structure. The restoring process re-runs the same
@@ -18,11 +18,11 @@
 // Robustness: save refuses states it could not faithfully restore (pending
 // bus transactions, expectations owned by anything but a registered
 // watchdog, transient one-shot processes in the queue). Restore validates
-// the document before touching any target: root tag, version and FNV-1a
-// content checksum first, then every section is decoded and matched
-// against the registered targets; only then is state applied. Malformed,
-// truncated, corrupted or version-bumped input fails with structured
-// diagnostics and leaves the targets unchanged.
+// the file before touching any target: magic, version and header checksum
+// first, then every section frame's checksum, then every section is decoded
+// and matched against the registered targets; only then is state applied.
+// Malformed, truncated, corrupted or version-bumped input fails with
+// structured diagnostics and leaves the targets unchanged.
 #pragma once
 
 #include <cstdint>
@@ -47,10 +47,9 @@ namespace umlsoc::replay {
 /// other value (forward- and backward-incompatible by design: the format
 /// mirrors internal state). Version 2 added the supervision sections
 /// (<supervisor>, <breaker>, <health>); version 3 added per-section
-/// checksums (XML attribute / binary frame field), so corruption reports
-/// name the damaged section instead of just failing the document hash, and
-/// a fourth fault-plan site (checkpoint-path faults); version 4 added the
-/// fifth fault-plan site (simulated-crash ticks).
+/// checksums (the binary frame field), so corruption reports name the
+/// damaged section, and a fourth fault-plan site (checkpoint-path faults);
+/// version 4 added the fifth fault-plan site (simulated-crash ticks).
 inline constexpr int kSnapshotVersion = 4;
 
 struct MachineTarget {
@@ -97,7 +96,7 @@ struct ValueBank {
 
 /// The components one snapshot covers. `kernel` is required; everything
 /// else is optional. Section names must be unique per kind — they are the
-/// join keys between a snapshot document and a restoring process's targets.
+/// join keys between a snapshot and a restoring process's targets.
 struct SnapshotTargets {
   sim::Kernel* kernel = nullptr;
   sim::FaultPlan* fault_plan = nullptr;
@@ -111,13 +110,11 @@ struct SnapshotTargets {
   std::vector<ValueBank> banks;
 };
 
-/// Decoded, format-independent snapshot content: exactly the state the XML
-/// and binary encodings carry, section order preserved. capture_image (via
-/// capture_kernel's refusal rules) and apply_image own the capture rules
-/// and the section/target matching; image_to_xml / image_from_xml (and the
-/// binary codec in replay/binary.hpp) are pure transcoders over this struct
-/// — which is what makes the binary<->XML converters lossless by
-/// construction.
+/// Decoded snapshot content: exactly the state a binary snapshot carries,
+/// section order preserved. capture_image (via capture_kernel's refusal
+/// rules) and apply_image own the capture rules and the section/target
+/// matching; the binary codec (replay/binary.hpp) is a pure transcoder over
+/// this struct.
 struct SnapshotImage {
   template <typename T>
   struct Named {
@@ -185,27 +182,19 @@ struct SnapshotImage {
 [[nodiscard]] bool apply_image(const SnapshotTargets& targets, const SnapshotImage& image,
                                support::DiagnosticSink& sink);
 
-/// Serializes an image as the canonical XML snapshot document (version,
-/// per-section checksums, document checksum).
-[[nodiscard]] std::string image_to_xml(const SnapshotImage& image);
-
-/// Parses and fully validates an XML snapshot document (root tag, version,
-/// document and per-section checksums, strict attribute syntax) into
-/// `image` without touching any target.
-[[nodiscard]] bool image_from_xml(std::string_view input, SnapshotImage& image,
-                                  support::DiagnosticSink& sink);
-
-/// Serializes the targets' state into `out`. Returns false (reporting
-/// through `sink`, `out` untouched) when the state is not checkpointable:
-/// mid-delta kernel, pending transient events, in-flight bus transactions,
-/// or outstanding expectations not owned by a registered watchdog.
+/// Serializes the targets' state into `out` as a full binary snapshot
+/// (image_to_binary) and accounts it in the kernel's SnapshotStats. Returns
+/// false (reporting through `sink`, `out` untouched) when the state is not
+/// checkpointable: mid-delta kernel, pending transient events, in-flight bus
+/// transactions, or outstanding expectations not owned by a registered
+/// watchdog.
 [[nodiscard]] bool save_snapshot(const SnapshotTargets& targets, std::string& out,
                                  support::DiagnosticSink& sink);
 
-/// Restores a save_snapshot document into `targets`. The document is fully
-/// validated (well-formedness, root tag, version, checksum, section/target
-/// match, strict attribute syntax) before any target is mutated; format
-/// errors therefore never leave a partial restore. Component-level
+/// Restores a save_snapshot file into `targets`. The file is fully
+/// validated (magic, version, header and section checksums, payload syntax,
+/// section/target match) before any target is mutated; format errors
+/// therefore never leave a partial restore. Component-level
 /// validation failures during apply (e.g. a snapshot from a structurally
 /// different machine) also report through `sink` and return false, but may
 /// leave earlier sections applied — treat a failed restore as fatal.

@@ -1,7 +1,9 @@
-// Binary checkpointing tests: binary<->XML round-trip equality on a rig
-// that exercises every section kind, a mutation-fuzz corpus for the binary
-// decoder (truncation, bit-flips, duplicated sections, version skew),
-// incremental delta chains, golden-byte encoder streams, and the
+// Binary checkpointing tests: save/restore round trips on a rig that
+// exercises every section kind (and on a statechart with history, finals
+// and variables), a mutation-fuzz corpus for the decoder (truncation,
+// bit-flips, erased and duplicated byte runs, duplicated sections, version
+// skew), a table of hostile files that reach each of the decoder's reject
+// paths, incremental delta chains, golden-byte encoder streams, and the
 // CheckpointStore recovery ladder
 // (corrupt/version-skewed/missing files quarantined, write faults injected
 // through FaultSite::kCheckpoint).
@@ -14,6 +16,7 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -27,6 +30,7 @@
 #include "sim/supervise.hpp"
 #include "statechart/interpreter.hpp"
 #include "statechart/model.hpp"
+#include "support/rng.hpp"
 
 namespace umlsoc::replay {
 namespace {
@@ -232,12 +236,15 @@ void expect_same_outcome(FullRig& restored, FullRig& reference,
   EXPECT_EQ(restored.health.aggregate(), reference.health.aggregate());
 }
 
-// FNV-1a helpers matching the on-disk format, for surgically repairing the
-// header checksum after a deliberate mutation.
+// --- frame surgery -------------------------------------------------------------
+// A test-side reading of the file layout documented in replay/binary.hpp:
+// split() takes a file apart into header fields and frames, join() puts it
+// back together with fresh header and frame checksums. Editing a field and
+// re-joining gets a hostile file past the checksums to the check it aims at.
+
 constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-constexpr std::size_t kHeaderHashedBytes = 36;  // Everything before the checksum.
-constexpr std::size_t kHeaderVersionOffset = 8;
+constexpr std::size_t kHeaderBytes = 44;  // Magic through header checksum.
 
 std::uint64_t fnv1a(std::string_view data, std::uint64_t hash = kFnvOffsetBasis) {
   for (const char c : data) {
@@ -247,18 +254,98 @@ std::uint64_t fnv1a(std::string_view data, std::uint64_t hash = kFnvOffsetBasis)
   return hash;
 }
 
-void put_u32(std::string& bytes, std::size_t offset, std::uint32_t value) {
-  for (int i = 0; i < 4; ++i) bytes[offset + i] = static_cast<char>((value >> (8 * i)) & 0xff);
+std::uint64_t get_le(std::string_view bytes, std::size_t& at, std::size_t width) {
+  std::uint64_t value = 0;
+  for (std::size_t i = 0; i < width; ++i) {
+    value |= std::uint64_t{static_cast<unsigned char>(bytes.at(at + i))} << (8 * i);
+  }
+  at += width;
+  return value;
 }
 
-void put_u64(std::string& bytes, std::size_t offset, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) bytes[offset + i] = static_cast<char>((value >> (8 * i)) & 0xff);
+void put_le(std::string& out, std::uint64_t value, std::size_t width) {
+  for (std::size_t i = 0; i < width; ++i) out.push_back(static_cast<char>(value >> (8 * i)));
+}
+
+struct Frame {
+  SectionKind kind = SectionKind::kKernel;
+  std::string name;
+  std::uint8_t flags = 0;  // 0 payload, 1 reference, 2 recorder append.
+  std::string payload;
+};
+
+struct File {
+  std::uint32_t version = 0;
+  std::uint32_t flags = 0;
+  std::uint64_t seq = 0;
+  std::uint64_t base_seq = 0;
+  std::vector<Frame> frames;
+  std::string trailer;  // Every byte after the last frame.
+
+  Frame& frame(SectionKind kind) {
+    for (Frame& frame : frames) {
+      if (frame.kind == kind) return frame;
+    }
+    throw std::out_of_range("no such section");
+  }
+};
+
+File split(std::string_view bytes) {
+  File file;
+  std::size_t at = kBinaryMagic.size();
+  file.version = static_cast<std::uint32_t>(get_le(bytes, at, 4));
+  file.flags = static_cast<std::uint32_t>(get_le(bytes, at, 4));
+  file.seq = get_le(bytes, at, 8);
+  file.base_seq = get_le(bytes, at, 8);
+  const std::uint64_t count = get_le(bytes, at, 4);
+  at += 8;  // Header checksum.
+  for (std::uint64_t i = 0; i < count; ++i) {
+    Frame& frame = file.frames.emplace_back();
+    frame.kind = static_cast<SectionKind>(get_le(bytes, at, 1));
+    const std::size_t name_length = get_le(bytes, at, 2);
+    frame.name = std::string(bytes.substr(at, name_length));
+    at += name_length;
+    frame.flags = static_cast<std::uint8_t>(get_le(bytes, at, 1));
+    const std::size_t payload_length = get_le(bytes, at, 4);
+    at += 8;  // Frame checksum.
+    frame.payload = std::string(bytes.substr(at, payload_length));
+    at += payload_length;
+  }
+  file.trailer = std::string(bytes.substr(at));
+  return file;
+}
+
+std::string join(const File& file) {
+  std::string out(kBinaryMagic);
+  put_le(out, file.version, 4);
+  put_le(out, file.flags, 4);
+  put_le(out, file.seq, 8);
+  put_le(out, file.base_seq, 8);
+  put_le(out, file.frames.size(), 4);
+  put_le(out, fnv1a(out), 8);
+  for (const Frame& frame : file.frames) {
+    std::string meta;
+    put_le(meta, static_cast<std::uint8_t>(frame.kind), 1);
+    put_le(meta, frame.name.size(), 2);
+    meta += frame.name;
+    put_le(meta, frame.flags, 1);
+    put_le(meta, frame.payload.size(), 4);
+    out += meta;
+    put_le(out, fnv1a(frame.payload, fnv1a(meta)), 8);
+    out += frame.payload;
+  }
+  return out + file.trailer;
+}
+
+template <typename Edit>
+std::string rewrite(std::string_view bytes, Edit edit) {
+  File file = split(bytes);
+  edit(file);
+  return join(file);
 }
 
 void patch_version(std::string& bytes, std::uint32_t version) {
-  put_u32(bytes, kHeaderVersionOffset, version);
-  put_u64(bytes, kHeaderHashedBytes,
-          fnv1a(std::string_view(bytes).substr(0, kHeaderHashedBytes)));
+  bytes = rewrite(bytes, [&](File& file) { file.version = version; });
 }
 
 class BinarySnapshotTest : public ::testing::Test {
@@ -278,37 +365,15 @@ TEST_F(BinarySnapshotTest, RoundTripIsBitIdentical) {
   ASSERT_EQ(source.supervisor.pending_restarts(), 1u) << "restart must be in flight";
   std::string snapshot;
   support::DiagnosticSink sink;
-  ASSERT_TRUE(save_snapshot_binary(source.targets(), snapshot, sink)) << sink.str();
+  ASSERT_TRUE(save_snapshot(source.targets(), snapshot, sink)) << sink.str();
   EXPECT_EQ(snapshot.substr(0, kBinaryMagic.size()), kBinaryMagic);
 
   FullRig restored(*machine_);
   support::DiagnosticSink restore_sink;
-  ASSERT_TRUE(restore_snapshot_binary(restored.targets(), snapshot, restore_sink))
+  ASSERT_TRUE(restore_snapshot(restored.targets(), snapshot, restore_sink))
       << restore_sink.str();
   restored.run();
   expect_same_outcome(restored, reference, reference_log);
-}
-
-TEST_F(BinarySnapshotTest, ConvertersAreLossless) {
-  FullRig source(*machine_);
-  source.run(kMidRunPs);
-
-  std::string xml;
-  std::string binary;
-  support::DiagnosticSink sink;
-  ASSERT_TRUE(save_snapshot(source.targets(), xml, sink)) << sink.str();
-  ASSERT_TRUE(save_snapshot_binary(source.targets(), binary, sink)) << sink.str();
-
-  // xml -> binary meets the directly captured binary byte-for-byte ...
-  std::string converted_binary;
-  ASSERT_TRUE(xml_to_binary(xml, converted_binary, sink)) << sink.str();
-  EXPECT_EQ(converted_binary, binary);
-
-  // ... and binary -> xml reproduces the canonical document, checksums and
-  // all, so the converter pair is lossless in both directions.
-  std::string converted_xml;
-  ASSERT_TRUE(binary_to_xml(binary, converted_xml, sink)) << sink.str();
-  EXPECT_EQ(converted_xml, xml);
 }
 
 TEST_F(BinarySnapshotTest, EncodeAndRestoreUpdateSnapshotStats) {
@@ -318,7 +383,7 @@ TEST_F(BinarySnapshotTest, EncodeAndRestoreUpdateSnapshotStats) {
 
   std::string snapshot;
   support::DiagnosticSink sink;
-  ASSERT_TRUE(save_snapshot_binary(source.targets(), snapshot, sink)) << sink.str();
+  ASSERT_TRUE(save_snapshot(source.targets(), snapshot, sink)) << sink.str();
   const sim::Kernel::SnapshotStats& encoded = source.kernel.stats().snapshot;
   EXPECT_EQ(encoded.encodes, 1u);
   EXPECT_EQ(encoded.bytes_written, snapshot.size());
@@ -327,7 +392,7 @@ TEST_F(BinarySnapshotTest, EncodeAndRestoreUpdateSnapshotStats) {
 
   FullRig restored(*machine_);
   support::DiagnosticSink restore_sink;
-  ASSERT_TRUE(restore_snapshot_binary(restored.targets(), snapshot, restore_sink))
+  ASSERT_TRUE(restore_snapshot(restored.targets(), snapshot, restore_sink))
       << restore_sink.str();
   EXPECT_EQ(restored.kernel.stats().snapshot.restores, 1u);
 }
@@ -337,7 +402,7 @@ TEST_F(BinarySnapshotTest, TruncatedFilesAreRejectedAtEveryLength) {
   source.run(kMidRunPs);
   std::string snapshot;
   support::DiagnosticSink sink;
-  ASSERT_TRUE(save_snapshot_binary(source.targets(), snapshot, sink)) << sink.str();
+  ASSERT_TRUE(save_snapshot(source.targets(), snapshot, sink)) << sink.str();
 
   std::size_t accepted = 0;
   std::size_t silent = 0;
@@ -359,21 +424,45 @@ TEST_F(BinarySnapshotTest, EveryBitFlipIsRejected) {
   source.run(kMidRunPs);
   std::string snapshot;
   support::DiagnosticSink sink;
-  ASSERT_TRUE(save_snapshot_binary(source.targets(), snapshot, sink)) << sink.str();
+  ASSERT_TRUE(save_snapshot(source.targets(), snapshot, sink)) << sink.str();
 
+  std::size_t accepted = 0;
+  std::size_t silent = 0;
+  const auto attempt_decode = [&](const std::string& mutated) {
+    SnapshotImage image;
+    support::DiagnosticSink attempt;
+    if (image_from_binary(mutated, image, attempt)) {
+      ++accepted;
+    } else if (!attempt.has_errors()) {
+      ++silent;
+    }
+  };
   // Frame checksums cover metadata and payload, the header checksum covers
   // the header, and magic/trailer are compared literally — so flipping any
   // single bit anywhere must fail the decode. Walk every byte, rotating the
   // flipped bit position.
-  std::size_t accepted = 0;
   for (std::size_t i = 0; i < snapshot.size(); ++i) {
     std::string mutated = snapshot;
     mutated[i] ^= static_cast<char>(1u << (i % 8));
-    SnapshotImage image;
-    support::DiagnosticSink attempt;
-    if (image_from_binary(mutated, image, attempt)) ++accepted;
+    attempt_decode(mutated);
+  }
+  // Runs of 1-6 bytes erased or duplicated anywhere shift every later
+  // field: the length fields, the frame checksums and the exact-length
+  // trailer check must refuse each one.
+  support::Rng rng(23);
+  for (int i = 0; i < 400; ++i) {
+    std::string mutated = snapshot;
+    const std::size_t position = rng.below(mutated.size());
+    const std::size_t length = 1 + rng.below(6);
+    if (i % 2 == 0) {
+      mutated.erase(position, length);
+    } else {
+      mutated.insert(position, mutated.substr(position, length));
+    }
+    attempt_decode(mutated);
   }
   EXPECT_EQ(accepted, 0u);
+  EXPECT_EQ(silent, 0u) << "every rejection must carry a diagnostic";
 }
 
 TEST_F(BinarySnapshotTest, CorruptSectionIsNamedInDiagnostics) {
@@ -381,7 +470,7 @@ TEST_F(BinarySnapshotTest, CorruptSectionIsNamedInDiagnostics) {
   source.run(kMidRunPs);
   std::string snapshot;
   support::DiagnosticSink sink;
-  ASSERT_TRUE(save_snapshot_binary(source.targets(), snapshot, sink)) << sink.str();
+  ASSERT_TRUE(save_snapshot(source.targets(), snapshot, sink)) << sink.str();
 
   // The byte just before the trailer sits in the bank payload (the last
   // section FullRig emits): the failure must name that section and offset.
@@ -432,7 +521,7 @@ TEST_F(BinarySnapshotTest, VersionSkewIsRejectedWithStructuredMessage) {
   source.run(kMidRunPs);
   std::string snapshot;
   support::DiagnosticSink sink;
-  ASSERT_TRUE(save_snapshot_binary(source.targets(), snapshot, sink)) << sink.str();
+  ASSERT_TRUE(save_snapshot(source.targets(), snapshot, sink)) << sink.str();
 
   // Bump the version and repair the header checksum so the version check
   // itself — not the checksum — must catch the skew.
@@ -473,12 +562,12 @@ TEST_F(BinarySnapshotTest, CleanDeltaIsEmptyAndTiny) {
   EXPECT_LT(delta.bytes.size() * 5, full.bytes.size())
       << "an all-clean delta must be at least 5x smaller than its base";
 
-  // The resolved chain equals a direct capture, compared via canonical XML.
+  // The resolved chain equals a direct capture, byte for byte.
   SnapshotImage chained;
   ASSERT_TRUE(image_from_binary_chain({full.bytes, delta.bytes}, chained, sink)) << sink.str();
-  std::string direct_xml;
-  ASSERT_TRUE(save_snapshot(source.targets(), direct_xml, sink)) << sink.str();
-  EXPECT_EQ(image_to_xml(chained), direct_xml);
+  std::string direct;
+  ASSERT_TRUE(save_snapshot(source.targets(), direct, sink)) << sink.str();
+  EXPECT_EQ(image_to_binary(chained), direct);
 }
 
 TEST_F(BinarySnapshotTest, DeltaChainRestoresBitIdentically) {
@@ -622,30 +711,210 @@ TEST_F(BinarySnapshotTest, DeltaAgainstTheWrongBaseIsRefusedByReferenceChecksum)
   EXPECT_NE(attempt.str().find("delta expects"), std::string::npos) << attempt.str();
 }
 
-TEST_F(BinarySnapshotTest, XmlSectionChecksumDiagnosticsNameTheSection) {
+// Hostile files built by frame surgery, one per reject path the mutation
+// corpus above cannot reach (a random mutation fails a checksum first).
+// Every row must be refused with its own diagnostic before the victim rig
+// is touched. A single file goes through restore_snapshot; a chain through
+// image_from_binary_chain and apply_image.
+TEST_F(BinarySnapshotTest, HostileFilesReachTheirRejectPaths) {
   FullRig source(*machine_);
   source.run(kMidRunPs);
-  std::string xml;
+  std::string full;
   support::DiagnosticSink sink;
-  ASSERT_TRUE(save_snapshot(source.targets(), xml, sink)) << sink.str();
+  ASSERT_TRUE(save_snapshot(source.targets(), full, sink)) << sink.str();
+  IncrementalEncoder encoder;
+  IncrementalEncoder::Result base;
+  IncrementalEncoder::Result delta;
+  ASSERT_TRUE(encoder.encode(source.targets(), /*force_full=*/true, base, sink)) << sink.str();
+  source.run(45000);
+  ASSERT_TRUE(encoder.encode(source.targets(), /*force_full=*/false, delta, sink)) << sink.str();
+  ASSERT_EQ(join(split(full)), full);
+  ASSERT_EQ(join(split(delta.bytes)), delta.bytes);
+  ASSERT_EQ(split(delta.bytes).frame(SectionKind::kRecorder).flags, 2) << "needs an append frame";
+  ASSERT_EQ(split(delta.bytes).frame(SectionKind::kHealth).flags, 1) << "needs a reference frame";
 
-  // Corrupt one digit of an attribute inside the watchdog section: the
-  // failure must name the section, not just the document.
-  const std::size_t section = xml.find("<watchdog");
-  ASSERT_NE(section, std::string::npos);
-  const std::size_t field = xml.find("kicks=\"", section);
-  ASSERT_NE(field, std::string::npos);
-  std::string mutated = xml;
-  char& digit = mutated[field + 7];
-  ASSERT_TRUE(digit >= '0' && digit <= '9');
-  digit = digit == '9' ? '3' : static_cast<char>(digit + 1);
+  const auto on_delta = [&](auto edit) {
+    return std::vector<std::string>{base.bytes, rewrite(delta.bytes, edit)};
+  };
+  struct Row {
+    std::string name;
+    std::vector<std::string> files;  // One: a file to restore. More: a chain.
+    std::string expected;
+    bool drop_kernel = false;
+  };
+  const Row rows[] = {
+      {"short payload",
+       {rewrite(full, [](File& f) { f.frame(SectionKind::kWatchdog).payload.pop_back(); })},
+       "malformed payload in <watchdog name='rig'>\n"},
+      {"long payload",
+       {rewrite(full, [](File& f) { f.frame(SectionKind::kWatchdog).payload += '\0'; })},
+       "malformed payload in <watchdog name='rig'> (trailing bytes)"},
+      {"no kernel frame",
+       {rewrite(full, [](File& f) { f.frames.erase(f.frames.begin()); })},
+       "missing kernel section"},
+      {"reference frame of the wrong size",
+       {rewrite(full, [](File& f) { f.frame(SectionKind::kWatchdog).flags = 1; })},
+       "malformed reference frame in <watchdog name='rig'>"},
+      {"bytes after the trailer", {rewrite(full, [](File& f) { f.trailer += "xy"; })},
+       "2 trailing bytes after the end-of-file trailer"},
+      {"reference frame in a full snapshot",
+       {rewrite(full,
+                [](File& f) {
+                  Frame& frame = f.frame(SectionKind::kWatchdog);
+                  frame.flags = 1;
+                  frame.payload.resize(8);
+                })},
+       "full snapshot contains a non-payload frame in <watchdog name='rig'>"},
+      {"append frame whose total disagrees",
+       on_delta([](File& f) { f.frame(SectionKind::kRecorder).payload[0] ^= 0x01; }),
+       "malformed recorder append frame"},
+      {"reference to a section the base lacks",
+       on_delta([](File& f) { f.frame(SectionKind::kHealth).name = "elsewhere"; }),
+       "delta references <health name='elsewhere'> which is absent from the base"},
+      {"append frame on a non-recorder section",
+       on_delta([](File& f) { f.frame(SectionKind::kHealth).flags = 2; }),
+       "append frame on non-recorder section <health name='health'>"},
+      {"no kernel target", {full}, "no kernel target registered", /*drop_kernel=*/true},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    FullRig victim(*machine_);
+    SnapshotTargets targets = victim.targets();
+    SnapshotImage before;
+    ASSERT_TRUE(capture_image(targets, before, sink)) << sink.str();
+    if (row.drop_kernel) targets.kernel = nullptr;
 
-  FullRig victim(*machine_);
-  support::DiagnosticSink attempt;
-  EXPECT_FALSE(restore_snapshot(victim.targets(), mutated, attempt));
-  EXPECT_NE(attempt.str().find("checksum mismatch"), std::string::npos) << attempt.str();
-  EXPECT_NE(attempt.str().find("section checksum mismatch in <watchdog"), std::string::npos)
-      << attempt.str();
+    support::DiagnosticSink attempt;
+    if (row.files.size() == 1) {
+      EXPECT_FALSE(restore_snapshot(targets, row.files[0], attempt));
+    } else {
+      const std::vector<std::string_view> chain(row.files.begin(), row.files.end());
+      SnapshotImage image;
+      EXPECT_FALSE(image_from_binary_chain(chain, image, attempt) &&
+                   apply_image(targets, image, attempt));
+    }
+    EXPECT_NE(attempt.str().find(row.expected), std::string::npos) << attempt.str();
+
+    SnapshotImage after;
+    ASSERT_TRUE(capture_image(victim.targets(), after, sink)) << sink.str();
+    EXPECT_EQ(image_to_binary(after), image_to_binary(before)) << "the victim was touched";
+    EXPECT_EQ(victim.kernel.stats().snapshot.restores, 0u);
+  }
+}
+
+/// Top-level S (shallow history over A -ab-> B), D (deep history over C,
+/// whose own region steps C1 -c12-> C2) and P (regions r1: E -e-> final,
+/// and r2: F, which keeps P from completing). Driving ab, to_d, c12, to_p,
+/// e leaves S's region remembering B, D's remembering C2, and one of P's
+/// regions in its final state.
+std::unique_ptr<statechart::StateMachine> make_history_machine() {
+  using statechart::Region;
+  using statechart::State;
+  using statechart::VertexKind;
+  auto machine = std::make_unique<statechart::StateMachine>("History");
+  Region& top = machine->top();
+  State& s = top.add_state("S");
+  State& d = top.add_state("D");
+  State& p = top.add_state("P");
+  top.add_transition(top.add_initial(), s);
+  Region& sr = s.add_region("sr");
+  State& a = sr.add_state("A");
+  sr.add_transition(sr.add_initial(), a);
+  sr.add_transition(a, sr.add_state("B")).set_trigger("ab");
+  statechart::Pseudostate& shallow = sr.add_pseudostate(VertexKind::kShallowHistory, "HS");
+  sr.add_transition(shallow, a);
+  Region& dr = d.add_region("dr");
+  State& c = dr.add_state("C");
+  dr.add_transition(dr.add_initial(), c);
+  Region& cr = c.add_region("cr");
+  State& c1 = cr.add_state("C1");
+  cr.add_transition(cr.add_initial(), c1);
+  cr.add_transition(c1, cr.add_state("C2")).set_trigger("c12");
+  statechart::Pseudostate& deep = dr.add_pseudostate(VertexKind::kDeepHistory, "HD");
+  dr.add_transition(deep, c);
+  Region& r1 = p.add_region("r1");
+  State& e = r1.add_state("E");
+  r1.add_transition(r1.add_initial(), e);
+  r1.add_transition(e, r1.add_final("done")).set_trigger("e");
+  Region& r2 = p.add_region("r2");
+  r2.add_transition(r2.add_initial(), r2.add_state("F"));
+  top.add_transition(s, d).set_trigger("to_d");
+  top.add_transition(d, p).set_trigger("to_p");
+  top.add_transition(p, shallow).set_trigger("back_s");
+  top.add_transition(p, deep).set_trigger("back_d");
+  return machine;
+}
+
+struct HistoryRig {
+  sim::Kernel kernel;
+  statechart::StateMachineInstance instance;
+
+  explicit HistoryRig(const statechart::StateMachine& machine) : instance(machine) {
+    instance.set_trace_enabled(false);
+    instance.start();
+  }
+
+  [[nodiscard]] SnapshotTargets targets() {
+    SnapshotTargets out;
+    out.kernel = &kernel;
+    out.machines.push_back({"history", &instance});
+    return out;
+  }
+};
+
+TEST_F(BinarySnapshotTest, MachineHistoryFinalsAndVariablesTakeEveryPath) {
+  const std::unique_ptr<statechart::StateMachine> machine = make_history_machine();
+  HistoryRig source(*machine);
+  for (const char* trigger : {"ab", "to_d", "c12", "to_p", "e"}) {
+    ASSERT_TRUE(source.instance.dispatch(statechart::Event{trigger})) << trigger;
+  }
+  source.instance.set_variable("budget", -12);
+  source.instance.set_variable("count", 7);
+  const statechart::InstanceSnapshot state = source.instance.capture();
+  ASSERT_EQ(state.active_finals.size(), 1u);
+  ASSERT_FALSE(state.shallow_history.empty());
+  ASSERT_FALSE(state.deep_history.empty());
+  ASSERT_EQ(state.variables.size(), 2u);
+
+  support::DiagnosticSink sink;
+  SnapshotImage direct;
+  ASSERT_TRUE(capture_image(source.targets(), direct, sink)) << sink.str();
+  const std::string reference = image_to_binary(direct);
+
+  // Full save -> restore into a fresh instance.
+  std::string snapshot;
+  ASSERT_TRUE(save_snapshot(source.targets(), snapshot, sink)) << sink.str();
+  HistoryRig restored(*machine);
+  ASSERT_TRUE(restore_snapshot(restored.targets(), snapshot, sink)) << sink.str();
+  SnapshotImage restored_image;
+  ASSERT_TRUE(capture_image(restored.targets(), restored_image, sink)) << sink.str();
+  EXPECT_EQ(image_to_binary(restored_image), reference);
+
+  // The streaming encoder writes the same frames as the image codec.
+  IncrementalEncoder encoder;
+  IncrementalEncoder::Result full;
+  IncrementalEncoder::Result delta;
+  ASSERT_TRUE(encoder.encode(source.targets(), /*force_full=*/true, full, sink)) << sink.str();
+  EXPECT_EQ(full.bytes.substr(kHeaderBytes), reference.substr(kHeaderBytes));
+
+  // A delta chain resolves to the live state.
+  source.instance.set_variable("count", 8);
+  ASSERT_TRUE(encoder.encode(source.targets(), /*force_full=*/false, delta, sink)) << sink.str();
+  EXPECT_TRUE(delta.delta);
+  EXPECT_EQ(delta.sections_dirty, 1u);
+  SnapshotImage chained;
+  ASSERT_TRUE(image_from_binary_chain({full.bytes, delta.bytes}, chained, sink)) << sink.str();
+  SnapshotImage live;
+  ASSERT_TRUE(capture_image(source.targets(), live, sink)) << sink.str();
+  EXPECT_EQ(image_to_binary(chained), image_to_binary(live));
+
+  // The restored history drives re-entry: deep restores C2, shallow B.
+  EXPECT_EQ(restored.instance.variable("budget"), -12);
+  ASSERT_TRUE(restored.instance.dispatch(statechart::Event{"back_d"}));
+  EXPECT_TRUE(restored.instance.is_in("C2"));
+  ASSERT_TRUE(restored.instance.dispatch(statechart::Event{"to_p"}));
+  ASSERT_TRUE(restored.instance.dispatch(statechart::Event{"back_s"}));
+  EXPECT_TRUE(restored.instance.is_in("B"));
 }
 
 // --- golden encoder streams ----------------------------------------------------

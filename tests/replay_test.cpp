@@ -1,14 +1,17 @@
 // Checkpoint/restore and deterministic-replay tests: snapshot round-trips
 // into a freshly constructed setup, rejection of version-bumped, corrupted
-// and truncated snapshots, save-side refusal of unserializable states, and
-// event-sequence divergence detection.
+// and truncated snapshots and of snapshots that do not match the restoring
+// targets, save-side refusal of unserializable states, and event-sequence
+// divergence detection.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "replay/binary.hpp"
 #include "replay/snapshot.hpp"
 #include "sim/bus.hpp"
 #include "sim/fault.hpp"
@@ -203,7 +206,10 @@ TEST_F(ReplayTest, SnapshotCapturesQueuedEventsAndVariables) {
   std::string snapshot;
   support::DiagnosticSink sink;
   ASSERT_TRUE(save_snapshot(source.targets(), snapshot, sink)) << sink.str();
-  EXPECT_NE(snapshot.find("queued"), std::string::npos);
+  SnapshotImage image;
+  ASSERT_TRUE(image_from_binary(snapshot, image, sink)) << sink.str();
+  ASSERT_EQ(image.machines.size(), 1u);
+  EXPECT_EQ(image.machines[0].state.queue.size(), 2u);
 
   Rig restored(*machine_);
   support::DiagnosticSink restore_sink;
@@ -228,11 +234,10 @@ TEST_F(ReplayTest, VersionMismatchIsRejected) {
   support::DiagnosticSink sink;
   ASSERT_TRUE(save_snapshot(source.targets(), snapshot, sink)) << sink.str();
 
-  const std::string current = "version=\"" + std::to_string(kSnapshotVersion) + "\"";
-  const std::string bumped = "version=\"" + std::to_string(kSnapshotVersion + 1) + "\"";
-  const std::size_t at = snapshot.find(current);
-  ASSERT_NE(at, std::string::npos);
-  snapshot.replace(at, current.size(), bumped);
+  // The u32 version follows the 8-byte magic, little-endian; the version
+  // check runs before the header checksum.
+  ASSERT_EQ(static_cast<unsigned char>(snapshot[8]), kSnapshotVersion);
+  snapshot[8] = static_cast<char>(kSnapshotVersion + 1);
 
   Rig restored(*machine_);
   support::DiagnosticSink restore_sink;
@@ -253,15 +258,14 @@ TEST_F(ReplayTest, CorruptedContentFailsTheChecksum) {
   support::DiagnosticSink sink;
   ASSERT_TRUE(save_snapshot(source.targets(), snapshot, sink)) << sink.str();
 
-  const std::size_t at = snapshot.find("rng-state=\"");
-  ASSERT_NE(at, std::string::npos);
-  char& digit = snapshot[at + 11];
-  digit = digit == '3' ? '4' : '3';
+  // The byte before the trailer is the last byte of the bank payload.
+  snapshot[snapshot.size() - kBinaryTrailer.size() - 1] ^= 0x01;
 
   Rig restored(*machine_);
   support::DiagnosticSink restore_sink;
   EXPECT_FALSE(restore_snapshot(restored.targets(), snapshot, restore_sink));
-  EXPECT_NE(restore_sink.str().find("checksum mismatch"), std::string::npos)
+  EXPECT_NE(restore_sink.str().find("section checksum mismatch in <bank name='memory'>"),
+            std::string::npos)
       << restore_sink.str();
   EXPECT_EQ(restored.kernel.now().picoseconds(), 0u);
 }
@@ -308,21 +312,60 @@ TEST_F(ReplayTest, SaveRefusesForeignOutstandingExpectations) {
 }
 
 TEST_F(ReplayTest, RestoreRejectsMissingAndForeignSections) {
-  Rig source(*machine_);
-  source.run(kMidRunPs);
-  std::string snapshot;
-  support::DiagnosticSink sink;
-  ASSERT_TRUE(save_snapshot(source.targets(), snapshot, sink)) << sink.str();
+  // Each row saves from a source rig and restores into a fresh one, either
+  // side's targets edited so that the snapshot and the restoring targets
+  // disagree. apply_image must refuse before touching the fresh rig.
+  sim::FaultPlan other_plan(/*seed=*/8);
+  struct Row {
+    std::string name;
+    std::function<void(SnapshotTargets&)> edit_source;
+    std::function<void(SnapshotTargets&)> edit_restore;
+    std::vector<std::string> expected;
+  };
+  const auto keep = [](SnapshotTargets&) {};
+  const Row rows[] = {
+      {"registered machine not in the snapshot", keep,
+       [](SnapshotTargets& t) { t.machines[0].name = "other"; },
+       {"no <machine> section named 'other'",
+        "<machine> section 'rig' has no registered target"}},
+      {"fault-plan section without a registered plan", keep,
+       [](SnapshotTargets& t) { t.fault_plan = nullptr; },
+       {"snapshot has a <fault-plan> section but no plan is registered"}},
+      {"registered plan without a fault-plan section",
+       [](SnapshotTargets& t) { t.fault_plan = nullptr; }, keep,
+       {"no <fault-plan> section for the registered plan"}},
+      {"fault-plan seed mismatch", keep,
+       [&](SnapshotTargets& t) { t.fault_plan = &other_plan; },
+       {"fault-plan seed mismatch: snapshot 7, registered plan 8"}},
+      {"recorder section without a registered recorder", keep,
+       [](SnapshotTargets& t) { t.recorder = nullptr; },
+       {"snapshot has a <recorder> section but no recorder is registered"}},
+      {"registered recorder without a recorder section",
+       [](SnapshotTargets& t) { t.recorder = nullptr; }, keep,
+       {"no <recorder> section for the registered recorder"}},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    Rig source(*machine_);
+    source.run(kMidRunPs);
+    SnapshotTargets source_targets = source.targets();
+    row.edit_source(source_targets);
+    std::string snapshot;
+    support::DiagnosticSink sink;
+    ASSERT_TRUE(save_snapshot(source_targets, snapshot, sink)) << sink.str();
 
-  Rig restored(*machine_);
-  SnapshotTargets targets = restored.targets();
-  targets.machines[0].name = "other";  // Registered target not in the snapshot.
-  support::DiagnosticSink restore_sink;
-  EXPECT_FALSE(restore_snapshot(targets, snapshot, restore_sink));
-  EXPECT_NE(restore_sink.str().find("no <machine> section named 'other'"), std::string::npos)
-      << restore_sink.str();
-  EXPECT_NE(restore_sink.str().find("has no registered target"), std::string::npos)
-      << restore_sink.str();
+    Rig restored(*machine_);
+    SnapshotTargets targets = restored.targets();
+    row.edit_restore(targets);
+    support::DiagnosticSink restore_sink;
+    EXPECT_FALSE(restore_snapshot(targets, snapshot, restore_sink));
+    for (const std::string& expected : row.expected) {
+      EXPECT_NE(restore_sink.str().find(expected), std::string::npos) << restore_sink.str();
+    }
+    EXPECT_EQ(restored.kernel.now().picoseconds(), 0u);
+    EXPECT_EQ(restored.recorder.total_events(), 0u);
+    EXPECT_EQ(restored.kernel.stats().snapshot.restores, 0u);
+  }
 }
 
 TEST_F(ReplayTest, VerifyModeFlagsInjectedDivergence) {
