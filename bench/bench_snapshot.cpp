@@ -5,6 +5,9 @@
 // <20% of sections dirty >=5x smaller than its full base.
 // BM_IncrementalEncodeGrowingRecorder: delta encode time stays flat as the
 // event log grows (append-only recorder section).
+// BM_FullEncodeGrowingRecorder: its forced-full twin. A full carries the
+// whole log, but the encoder keeps every payload's hash, so only a copy of
+// the log grows with it, not a pass of FNV-1a over it.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -279,6 +282,43 @@ void BM_IncrementalEncodeGrowingRecorder(benchmark::State& state) {
       delta_bytes / static_cast<double>(std::max<benchmark::IterationCount>(state.iterations(), 1));
 }
 BENCHMARK(BM_IncrementalEncodeGrowingRecorder)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Arg(16384)
+    ->Iterations(2000)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_FullEncodeGrowingRecorder(benchmark::State& state) {
+  // BM_IncrementalEncodeGrowingRecorder with every encode a forced full,
+  // as a CheckpointStore's full cadence writes them. Each full copies the
+  // whole N-entry log into the file; its frame checksum continues a hash
+  // the encoder already holds, so only the new entries are hashed.
+  const auto entries = static_cast<std::uint64_t>(state.range(0));
+  BenchRig rig(kMachines);
+  while (rig.recorder.total_events() < entries) rig.run_ticks(16);
+  const replay::SnapshotTargets targets = rig.targets();
+  replay::IncrementalEncoder encoder;
+  replay::IncrementalEncoder::Result result;  // Reused, as CheckpointStore does.
+  support::DiagnosticSink sink;
+  if (!encoder.encode(targets, /*force_full=*/true, result, sink)) {
+    state.SkipWithError("full encode failed");
+    return;
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    rig.run_ticks(1);
+    state.ResumeTiming();
+    if (!encoder.encode(targets, /*force_full=*/true, result, sink)) {
+      state.SkipWithError("full encode failed");
+      break;
+    }
+    benchmark::DoNotOptimize(result.bytes.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["log_entries"] = static_cast<double>(rig.recorder.total_events());
+  state.counters["full_bytes"] = static_cast<double>(result.bytes.size());
+}
+BENCHMARK(BM_FullEncodeGrowingRecorder)
     ->Arg(1024)
     ->Arg(4096)
     ->Arg(16384)

@@ -20,8 +20,8 @@ constexpr std::uint8_t kEntryRecorderAppend = 2;
 
 /// Fixed byte cost of one recorder log entry (u64 at_ps + u32 process).
 constexpr std::size_t kRecorderEntryBytes = 12;
-/// Recorder payload header: u64 total + u32 count.
-constexpr std::size_t kRecorderHeadBytes = 12;
+/// Recorder payload tail: u64 total + u32 count.
+constexpr std::size_t kRecorderTailBytes = 12;
 
 std::uint64_t fnv1a(std::string_view data, std::uint64_t hash = kFnvOffset) {
   for (unsigned char c : data) {
@@ -261,10 +261,17 @@ bool decode_fault_plan(ByteReader& in, SnapshotImage::FaultPlanState& out) {
   return !in.failed();
 }
 
-/// The 12-byte recorder head: u64 running total + u32 retained count.
-void put_recorder_head(char* out, std::uint64_t total, std::size_t count) {
+/// The 12-byte recorder tail: u64 running total + u32 entry count.
+void put_recorder_tail(char* out, std::uint64_t total, std::size_t count) {
   ByteWriter::put(out, total);
   ByteWriter::put(out + 8, static_cast<std::uint32_t>(count));
+}
+
+/// The running total stored in the tail of a recorder or append payload
+/// of at least kRecorderTailBytes.
+std::uint64_t recorder_tail_total(std::string_view payload) {
+  ByteReader in(payload.substr(payload.size() - kRecorderTailBytes));
+  return in.u64();
 }
 
 /// Appends entries [from, size) of `log` as 12-byte records (u64 at_ps +
@@ -285,39 +292,44 @@ void encode_recorder_entries(ByteWriter& out, const sim::EventRecorder::LogView&
 }
 
 void encode_recorder(ByteWriter& out, std::uint64_t total, const sim::EventRecorder::LogView& log) {
-  put_recorder_head(out.extend(kRecorderHeadBytes), total, log.size());
   encode_recorder_entries(out, log, 0);
+  put_recorder_tail(out.extend(kRecorderTailBytes), total, log.size());
 }
 
-/// True when recorder payload `current` is `previous` plus whole entries and
-/// the running total grew by exactly that many — the splice invariant the
-/// decoder checks. A ring overwrite or a rewritten log breaks it.
+/// True when recorder payload `current` is `previous`'s entries plus whole
+/// new entries and the running total grew by exactly that many — the splice
+/// invariant the decoder checks. A ring overwrite or a rewritten log breaks
+/// it.
 bool extends_recorder(std::string_view previous, std::string_view current) {
-  if (current.size() <= previous.size() || previous.size() < kRecorderHeadBytes) return false;
-  const std::size_t kept = previous.size() - kRecorderHeadBytes;
-  if (current.compare(kRecorderHeadBytes, kept, previous, kRecorderHeadBytes, kept) != 0) {
-    return false;
-  }
-  ByteReader previous_head(previous);
-  ByteReader current_head(current);
-  const std::uint64_t previous_total = previous_head.u64();
-  const std::uint64_t current_total = current_head.u64();
+  if (current.size() <= previous.size() || previous.size() < kRecorderTailBytes) return false;
+  const std::size_t kept = previous.size() - kRecorderTailBytes;
+  if (current.compare(0, kept, previous, 0, kept) != 0) return false;
+  const std::uint64_t previous_total = recorder_tail_total(previous);
+  const std::uint64_t current_total = recorder_tail_total(current);
   return current_total >= previous_total &&
          current_total - previous_total ==
              (current.size() - previous.size()) / kRecorderEntryBytes;
 }
 
+/// Entries, then the tail. The entry bytes fix the count; a tail that
+/// disagrees with them, or a payload that is not whole entries plus a tail,
+/// is malformed.
 bool decode_recorder(ByteReader& in, SnapshotImage::RecorderState& out) {
-  out.total = in.u64();
-  const std::uint32_t count = in.u32();
-  for (std::uint32_t i = 0; i < count && !in.failed(); ++i) {
+  const std::size_t size = in.remaining();
+  if (size < kRecorderTailBytes || (size - kRecorderTailBytes) % kRecorderEntryBytes != 0) {
+    return false;
+  }
+  const std::size_t count = (size - kRecorderTailBytes) / kRecorderEntryBytes;
+  out.events.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
     sim::RecordedEvent event;
     event.at_ps = in.u64();
     event.process = in.u32();
     out.events.push_back(event);
   }
-  if (!in.failed() && out.events.size() > out.total) return false;
-  return !in.failed();
+  out.total = in.u64();
+  const std::uint32_t stored_count = in.u32();
+  return !in.failed() && stored_count == count && out.events.size() <= out.total;
 }
 
 void encode_event_records(ByteWriter& out,
@@ -762,6 +774,7 @@ struct FrameRef {
   std::string_view name;
   std::uint8_t entry_flags = kEntryPayload;
   std::string_view payload;
+  std::uint64_t payload_hash = 0;  ///< fnv1a(payload), which the caller supplies.
 };
 
 /// Magic, version, flags, seq, base_seq, section count, header checksum.
@@ -770,7 +783,9 @@ constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 8 + 8 + 4 + 8;
 constexpr std::size_t kFrameFixedBytes = 1 + 2 + 1 + 4 + 8;
 
 /// Writes a complete file into `out` (cleared, then reserved once): frames
-/// `frame_at(0) .. frame_at(count - 1)` between header and trailer.
+/// `frame_at(0) .. frame_at(count - 1)` between header and trailer. No
+/// payload byte is hashed here: each frame checksum continues the frame's
+/// `payload_hash` over the metadata just written.
 template <typename FrameAt>
 void encode_file(std::string& out, std::uint32_t flags, std::uint64_t seq,
                  std::uint64_t base_seq, std::size_t count, FrameAt frame_at) {
@@ -791,9 +806,10 @@ void encode_file(std::string& out, std::uint32_t flags, std::uint64_t seq,
   writer.u64(fnv1a(out));
   for (std::size_t i = 0; i < count; ++i) {
     const FrameRef frame = frame_at(i);
-    // The frame checksum covers the frame metadata AND the payload, so a
+    // The frame checksum covers the payload AND the frame metadata, so a
     // bit-flip anywhere in the frame — kind, name, flags, lengths, payload
     // — fails this section's validation, not some later decode step. The
+    // payload comes first so its hash can be kept across files; the
     // metadata is hashed where it was just written.
     const std::size_t meta_start = out.size();
     writer.u8(static_cast<std::uint8_t>(frame.kind));
@@ -801,8 +817,7 @@ void encode_file(std::string& out, std::uint32_t flags, std::uint64_t seq,
     writer.bytes(frame.name);
     writer.u8(frame.entry_flags);
     writer.u32(static_cast<std::uint32_t>(frame.payload.size()));
-    const std::uint64_t meta_hash = fnv1a(std::string_view(out).substr(meta_start));
-    writer.u64(fnv1a(frame.payload, meta_hash));
+    writer.u64(fnv1a(std::string_view(out).substr(meta_start), frame.payload_hash));
     writer.bytes(frame.payload);
   }
   writer.bytes(kBinaryTrailer);
@@ -880,7 +895,7 @@ bool parse_file(std::string_view data, BinarySnapshotInfo& info,
       return false;
     }
     const std::uint64_t computed =
-        fnv1a(entry.payload, fnv1a(data.substr(offset, meta_end - offset)));
+        fnv1a(data.substr(offset, meta_end - offset), fnv1a(entry.payload));
     if (computed != stored) {
       sink.error("binary-snapshot", "section checksum mismatch in " +
                                         describe(entry.kind, entry.name) + " at offset " +
@@ -910,29 +925,35 @@ bool parse_file(std::string_view data, BinarySnapshotInfo& info,
   return true;
 }
 
-/// Splices a recorder append frame onto the materialized base payload.
+/// Splices a recorder append frame (new entries, then the new total and
+/// the appended count) onto the materialized base payload.
 bool splice_recorder_append(const std::string& base, std::string_view append,
                             std::string& out, support::DiagnosticSink& sink) {
-  ByteReader base_in(base);
-  const std::uint64_t base_total = base_in.u64();
-  const std::uint32_t base_count = base_in.u32();
-  ByteReader append_in(append);
-  const std::uint64_t new_total = append_in.u64();
-  const std::uint32_t appended = append_in.u32();
-  if (base_in.failed() || append_in.failed() ||
-      base_in.remaining() != static_cast<std::size_t>(base_count) * kRecorderEntryBytes ||
-      append_in.remaining() != static_cast<std::size_t>(appended) * kRecorderEntryBytes ||
+  if (base.size() < kRecorderTailBytes || append.size() < kRecorderTailBytes) {
+    sink.error("binary-snapshot", "malformed recorder append frame");
+    return false;
+  }
+  const std::string_view base_entries(base.data(), base.size() - kRecorderTailBytes);
+  const std::string_view new_entries = append.substr(0, append.size() - kRecorderTailBytes);
+  ByteReader base_tail(std::string_view(base).substr(base_entries.size()));
+  const std::uint64_t base_total = base_tail.u64();
+  const std::uint32_t base_count = base_tail.u32();
+  ByteReader append_tail(append.substr(new_entries.size()));
+  const std::uint64_t new_total = append_tail.u64();
+  const std::uint32_t appended = append_tail.u32();
+  if (base_entries.size() != static_cast<std::size_t>(base_count) * kRecorderEntryBytes ||
+      new_entries.size() != static_cast<std::size_t>(appended) * kRecorderEntryBytes ||
       new_total < base_total || new_total - base_total != appended) {
     sink.error("binary-snapshot", "malformed recorder append frame");
     return false;
   }
   std::string merged;
-  merged.reserve(base.size() + append.size() - kRecorderHeadBytes);
+  merged.reserve(base.size() + new_entries.size());
   ByteWriter writer(merged);
+  writer.bytes(base_entries);
+  writer.bytes(new_entries);
   writer.u64(new_total);
   writer.u32(base_count + appended);
-  writer.bytes(std::string_view(base).substr(kRecorderHeadBytes));
-  writer.bytes(append.substr(kRecorderHeadBytes));
   out = std::move(merged);
   return true;
 }
@@ -1048,9 +1069,13 @@ bool read_binary_info(std::string_view data, BinarySnapshotInfo& info,
 
 std::string image_to_binary(const SnapshotImage& image) {
   const std::vector<FlatSection> sections = flatten_image(image);
+  std::vector<std::uint64_t> hashes;
+  hashes.reserve(sections.size());
+  for (const FlatSection& section : sections) hashes.push_back(fnv1a(section.payload));
   std::string out;
   encode_file(out, 0, 0, 0, sections.size(), [&](std::size_t i) {
-    return FrameRef{sections[i].kind, sections[i].name, kEntryPayload, sections[i].payload};
+    return FrameRef{sections[i].kind, sections[i].name, kEntryPayload, sections[i].payload,
+                    hashes[i]};
   });
   return out;
 }
@@ -1185,16 +1210,9 @@ bool IncrementalEncoder::reshape(const SnapshotTargets& targets) {
 }
 
 std::size_t IncrementalEncoder::settle(Section& section, bool delta, bool changed) {
-  if (changed) {
-    section.hashed = false;
-  } else if (delta) {
+  if (!changed && delta) {
     // Reference frame: the payload is the expected hash of the base's
-    // payload, so drift is caught when the chain is resolved. Unchanged
-    // bytes keep the hash computed when they were first referenced.
-    if (!section.hashed) {
-      section.hash = fnv1a(section.payload);
-      section.hashed = true;
-    }
+    // payload, so drift is caught when the chain is resolved.
     ByteWriter::put(section.reference, section.hash);
     section.entry_flags = kEntryReference;
     return 0;
@@ -1205,16 +1223,21 @@ std::size_t IncrementalEncoder::settle(Section& section, bool delta, bool change
 
 std::size_t IncrementalEncoder::settle_encoded(Section& section, bool delta) {
   const bool changed = section.next != section.payload;
-  if (changed) section.payload.swap(section.next);
+  if (changed) {
+    section.payload.swap(section.next);
+    section.hash = fnv1a(section.payload);
+  }
   return settle(section, delta, changed);
 }
 
 void IncrementalEncoder::stage_append(std::uint64_t total, std::string_view entries) {
   append_.clear();
   ByteWriter writer(append_);
-  put_recorder_head(writer.extend(kRecorderHeadBytes), total,
-                    entries.size() / kRecorderEntryBytes);
   writer.bytes(entries);
+  const std::uint64_t entries_hash = fnv1a(entries);
+  put_recorder_tail(writer.extend(kRecorderTailBytes), total,
+                    entries.size() / kRecorderEntryBytes);
+  append_hash_ = fnv1a(std::string_view(append_).substr(entries.size()), entries_hash);
 }
 
 std::size_t IncrementalEncoder::stream_recorder(Section& section,
@@ -1231,32 +1254,43 @@ std::size_t IncrementalEncoder::stream_recorder(Section& section,
   recorder_ = nullptr;  // Re-armed below once `section.payload` is current.
   std::size_t dirty = 0;
   if (!appended_only) {
-    // Rewritten log, ring overwrite, new recorder or lost chain: encode the
-    // whole log and classify it against the base byte-for-byte.
+    // Rewritten log, ring overwrite, new recorder or lost chain: encode and
+    // hash the whole log and classify it against the base byte-for-byte.
     section.next.clear();
     ByteWriter writer(section.next);
     encode_recorder(writer, total, log);
-    if (delta && extends_recorder(section.payload, section.next)) {
-      stage_append(total, std::string_view(section.next).substr(section.payload.size()));
-      section.payload.swap(section.next);
-      section.hashed = false;
-      section.entry_flags = kEntryRecorderAppend;
-      dirty = 1;
-    } else {
-      dirty = settle_encoded(section, delta);
+    const bool extended = delta && extends_recorder(section.payload, section.next);
+    if (extended) {
+      const std::size_t kept = section.payload.size() - kRecorderTailBytes;
+      stage_append(total, std::string_view(section.next)
+                              .substr(kept, section.next.size() - section.payload.size()));
     }
+    const bool changed = section.next != section.payload;
+    if (changed) section.payload.swap(section.next);
+    const std::string_view payload = section.payload;
+    const std::size_t entries = payload.size() - kRecorderTailBytes;
+    recorder_entries_hash_ = fnv1a(payload.substr(0, entries));
+    section.hash = fnv1a(payload.substr(entries), recorder_entries_hash_);
+    dirty = settle(section, delta, changed);
+    if (extended) section.entry_flags = kEntryRecorderAppend;
   } else if (count == recorder_count_) {
     dirty = settle(section, delta, /*changed=*/false);
   } else {
-    // Only new entries: patch the head, append them, ship just them.
-    const std::size_t base_size = section.payload.size();
-    put_recorder_head(section.payload.data(), total, count);
+    // Only new entries: drop the tail, append them, extend the running hash
+    // by them alone, write the new tail and ship just the new entries.
+    const std::size_t kept = section.payload.size() - kRecorderTailBytes;
+    section.payload.resize(kept);
     ByteWriter writer(section.payload);
     encode_recorder_entries(writer, log, recorder_count_);
-    section.hashed = false;
+    const std::size_t entries = section.payload.size();
+    recorder_entries_hash_ =
+        fnv1a(std::string_view(section.payload).substr(kept), recorder_entries_hash_);
+    put_recorder_tail(writer.extend(kRecorderTailBytes), total, count);
+    const std::string_view payload = section.payload;
+    section.hash = fnv1a(payload.substr(entries), recorder_entries_hash_);
     section.entry_flags = kEntryPayload;
     if (delta) {
-      stage_append(total, std::string_view(section.payload).substr(base_size));
+      stage_append(total, payload.substr(kept, entries - kept));
       section.entry_flags = kEntryRecorderAppend;
     }
     dirty = 1;
@@ -1302,13 +1336,16 @@ bool IncrementalEncoder::encode(const SnapshotTargets& targets, bool force_full,
   encode_file(out.bytes, delta ? kFlagDelta : 0, out.seq, out.base_seq, sections_.size(),
               [&](std::size_t i) {
                 const Section& section = sections_[i];
-                std::string_view payload = section.payload;
+                FrameRef frame{section.kind, section.name, section.entry_flags, section.payload,
+                               section.hash};
                 if (section.entry_flags == kEntryReference) {
-                  payload = std::string_view(section.reference, sizeof section.reference);
+                  frame.payload = std::string_view(section.reference, sizeof section.reference);
+                  frame.payload_hash = fnv1a(frame.payload);
                 } else if (section.entry_flags == kEntryRecorderAppend) {
-                  payload = append_;
+                  frame.payload = append_;
+                  frame.payload_hash = append_hash_;
                 }
-                return FrameRef{section.kind, section.name, section.entry_flags, payload};
+                return frame;
               });
   last_seq_ = out.seq;
   targets.kernel->note_snapshot_encode(out.bytes.size(), out.sections_dirty, out.sections_total,

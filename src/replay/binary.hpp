@@ -24,14 +24,28 @@
 //   u16 name_len + bytes           "" for kernel / fault-plan / recorder
 //   u8  entry flags                0 payload, 1 reference, 2 recorder-append
 //   u32 payload_len
-//   u64 frame checksum             FNV-1a over metadata bytes + payload bytes
+//   u64 frame checksum             fnv1a(metadata, fnv1a(payload))
 //   payload bytes
 //
-// The frame checksum covers the frame's metadata (kind, name, flags,
-// length) as well as its payload, so truncation and bit-flips anywhere in a
-// frame are detected and reported at section granularity (section name,
-// byte offset, stored vs computed checksum) instead of one opaque
-// document-level failure.
+// The frame checksum is FNV-1a over the payload, continued over the frame's
+// metadata (kind, name, flags, length), so truncation and bit-flips anywhere
+// in a frame are detected and reported at section granularity (section
+// name, byte offset, stored vs computed checksum) instead of one opaque
+// document-level failure. Hashing the payload first makes its hash
+// independent of the frame around it: the same value is a reference
+// frame's payload, the seed of a full frame's checksum and the seed of a
+// delta payload frame's checksum.
+//
+// Recorder payload (and recorder append payload):
+//
+//   entries ...                    12 bytes each: u64 at_ps + u32 process
+//   u64 total                      running event count (appends: the new one)
+//   u32 count                      entries in this payload
+//
+// The head sits after the entries so a writer can keep one FNV-1a state
+// over the entries and extend it as entries are appended, then hash only
+// the 12-byte tail. A tail whose count disagrees with the entry bytes is
+// malformed.
 //
 // Incremental checkpoints: a delta file carries full payloads only for the
 // sections that changed since the previous checkpoint. Clean sections
@@ -44,6 +58,13 @@
 // the new bytes with the previous checkpoint's; the recorder section is
 // extended in place by its new entries instead of re-encoded (see
 // IncrementalEncoder).
+//
+// Hash once: IncrementalEncoder hashes each payload byte once over its
+// lifetime, not once per file. It keeps every section's payload hash
+// current, so a full snapshot hashes only frame metadata for its clean
+// sections, and the recorder's entry hash is extended by new entries
+// only. The decoder keeps no such state: it verifies every header, frame
+// and reference checksum from the bytes it is given.
 #pragma once
 
 #include <cstdint>
@@ -122,11 +143,14 @@ struct BinarySnapshotInfo {
 ///  * the recorder section, which only grows during a run, is patched in
 ///    place: while the recorder's lineage holds and its size and total grew
 ///    in step, only the new 12-byte entries are encoded and the 12-byte
-///    head is rewritten. A ring overwrite, restore_log, begin_verify, a new
+///    tail is rewritten. A ring overwrite, restore_log, begin_verify, a new
 ///    recorder, reset()/resume_after() or a shape change re-encodes the
 ///    whole log and classifies it byte-for-byte instead;
-///  * a reference frame reuses the payload hash computed when that payload
-///    was first referenced.
+///  * every section's payload hash is kept current (a changed payload is
+///    hashed once when it is written; the recorder's running hash is
+///    extended by the appended entries alone, and a rewrite rehashes the
+///    whole log), so a frame checksum — full, delta or reference — hashes
+///    only its metadata on top of a hash already held.
 /// Every frame written is byte-identical to what the image-based codec
 /// writes for the same state (capture_image + image_to_binary, for a full
 /// snapshot).
@@ -174,8 +198,9 @@ class IncrementalEncoder {
     std::string payload;  ///< The previous checkpoint's bytes (the delta base).
     std::string next;     ///< Spare buffer the next encode writes into.
     std::uint8_t entry_flags = 0;  ///< Frame kind chosen by the latest encode.
-    bool hashed = false;           ///< `hash` is the FNV-1a of `payload`.
-    std::uint64_t hash = 0;
+    /// FNV-1a of `payload`, kept current by every write to it (the initial
+    /// value is the hash of no bytes).
+    std::uint64_t hash = 1469598103934665603ULL;
     char reference[8] = {};  ///< Reference frame payload: `hash`, little-endian.
   };
 
@@ -188,7 +213,8 @@ class IncrementalEncoder {
   /// settle() for a section freshly encoded into `next`.
   std::size_t settle_encoded(Section& section, bool delta);
   std::size_t stream_recorder(Section& section, const sim::EventRecorder& recorder, bool delta);
-  /// Fills append_ with an append-frame payload: head + `entries`.
+  /// Fills append_ with an append-frame payload (`entries` + tail) and
+  /// append_hash_ with its hash.
   void stage_append(std::uint64_t total, std::string_view entries);
 
   std::vector<Section> sections_;
@@ -198,16 +224,20 @@ class IncrementalEncoder {
 
   // What the recorder section's payload encodes: `recorder_count_` entries
   // and total `recorder_total_` of `recorder_` at `recorder_lineage_`
-  // (nullptr = unknown, re-encode in full).
+  // (nullptr = unknown, re-encode in full), and the FNV-1a state over its
+  // entry bytes (the payload without its tail), which appends extend.
   const sim::EventRecorder* recorder_ = nullptr;
   std::uint64_t recorder_lineage_ = 0;
   std::size_t recorder_count_ = 0;
   std::uint64_t recorder_total_ = 0;
+  std::uint64_t recorder_entries_hash_ = 0;
 
-  // Capture scratch and the recorder append payload, reused across encodes.
+  // Capture scratch and the recorder append payload and its hash, reused
+  // across encodes.
   sim::Kernel::Checkpoint kernel_;
   statechart::InstanceSnapshot machine_;
   std::string append_;
+  std::uint64_t append_hash_ = 0;
 };
 
 }  // namespace umlsoc::replay

@@ -49,8 +49,11 @@ namespace umlsoc::replay {
 /// (<supervisor>, <breaker>, <health>); version 3 added per-section
 /// checksums (the binary frame field), so corruption reports name the
 /// damaged section, and a fourth fault-plan site (checkpoint-path faults);
-/// version 4 added the fifth fault-plan site (simulated-crash ticks).
-inline constexpr int kSnapshotVersion = 4;
+/// version 4 added the fifth fault-plan site (simulated-crash ticks);
+/// version 5 hashes each frame's payload before its metadata and moves the
+/// recorder head (total, count) after the entries, so an encoder can keep
+/// payload hashes across files (same field sizes, same file lengths).
+inline constexpr int kSnapshotVersion = 5;
 
 struct MachineTarget {
   std::string name;

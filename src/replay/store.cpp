@@ -182,8 +182,12 @@ bool CheckpointStore::checkpoint(const SnapshotTargets& targets, WriteResult& ou
   const std::filesystem::path tmp = result.path.string() + "." +
                                     std::to_string(::getpid()) +
                                     std::string(kTmpSuffix);
+  // A write or rename that fails leaves no file at result.path, so the
+  // encoder must not chain the next delta to it: the next checkpoint is a
+  // full.
   if (!write_file(tmp, bytes)) {
     sink.error("checkpoint-store", "cannot write " + tmp.string());
+    encoder_.reset();
     return false;
   }
   if (!result.lost) {
@@ -192,6 +196,7 @@ bool CheckpointStore::checkpoint(const SnapshotTargets& targets, WriteResult& ou
     if (ec) {
       sink.error("checkpoint-store",
                  "cannot rename " + tmp.string() + ": " + ec.message());
+      encoder_.reset();
       return false;
     }
   }

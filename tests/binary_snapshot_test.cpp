@@ -239,7 +239,8 @@ void expect_same_outcome(FullRig& restored, FullRig& reference,
 // --- frame surgery -------------------------------------------------------------
 // A test-side reading of the file layout documented in replay/binary.hpp:
 // split() takes a file apart into header fields and frames, join() puts it
-// back together with fresh header and frame checksums. Editing a field and
+// back together with fresh header and frame checksums, each frame's computed
+// from scratch as fnv1a(metadata, fnv1a(payload)). Editing a field and
 // re-joining gets a hostile file past the checksums to the check it aims at.
 
 constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
@@ -331,10 +332,24 @@ std::string join(const File& file) {
     put_le(meta, frame.flags, 1);
     put_le(meta, frame.payload.size(), 4);
     out += meta;
-    put_le(out, fnv1a(frame.payload, fnv1a(meta)), 8);
+    put_le(out, fnv1a(meta, fnv1a(frame.payload)), 8);
     out += frame.payload;
   }
   return out + file.trailer;
+}
+
+/// Recorder and append payloads end in a 12-byte tail: u64 total, u32 count.
+constexpr std::size_t kRecorderTailBytes = 12;
+
+/// Adds `delta` to the u64 total (`offset` 0) or u32 count (`offset` 8)
+/// in the tail of a recorder or append payload.
+void bump_tail(std::string& payload, std::size_t offset, int delta) {
+  std::size_t at = payload.size() - kRecorderTailBytes + offset;
+  const std::size_t width = offset == 0 ? 8 : 4;
+  const std::uint64_t value = get_le(payload, at, width) + static_cast<std::uint64_t>(delta);
+  std::string field;
+  put_le(field, value, width);
+  payload.replace(at - width, width, field);
 }
 
 template <typename Edit>
@@ -765,8 +780,22 @@ TEST_F(BinarySnapshotTest, HostileFilesReachTheirRejectPaths) {
                   frame.payload.resize(8);
                 })},
        "full snapshot contains a non-payload frame in <watchdog name='rig'>"},
+      {"a version 4 file", {rewrite(full, [](File& f) { f.version = 4; })},
+       "unsupported snapshot version 4 (this build reads version 5)"},
+      {"recorder tail count above its entries",
+       {rewrite(full, [](File& f) { bump_tail(f.frame(SectionKind::kRecorder).payload, 8, 1); })},
+       "malformed payload in <recorder>\n"},
+      {"recorder payload shorter than its tail",
+       {rewrite(full, [](File& f) { f.frame(SectionKind::kRecorder).payload.resize(11); })},
+       "malformed payload in <recorder>\n"},
       {"append frame whose total disagrees",
-       on_delta([](File& f) { f.frame(SectionKind::kRecorder).payload[0] ^= 0x01; }),
+       on_delta([](File& f) { bump_tail(f.frame(SectionKind::kRecorder).payload, 0, 1); }),
+       "malformed recorder append frame"},
+      {"append frame whose count disagrees",
+       on_delta([](File& f) { bump_tail(f.frame(SectionKind::kRecorder).payload, 8, 1); }),
+       "malformed recorder append frame"},
+      {"append frame shorter than its tail",
+       on_delta([](File& f) { f.frame(SectionKind::kRecorder).payload.resize(11); }),
        "malformed recorder append frame"},
       {"reference to a section the base lacks",
        on_delta([](File& f) { f.frame(SectionKind::kHealth).name = "elsewhere"; }),
@@ -922,12 +951,14 @@ TEST_F(BinarySnapshotTest, MachineHistoryFinalsAndVariablesTakeEveryPath) {
 // incremental encoder: fulls, clean deltas, recorder appends, ring
 // overwrites, target-set shape changes, restore_log shrinking and then
 // regrowing the log, a verify window, forced fulls, and reset() /
-// resume_after() after real restores. The expected digests, lengths and
-// counts were recorded from the image-based encoder (capture_image, then
-// one flat section list per encode) that the streaming encoder replaced.
+// resume_after() after real restores. The expected lengths and counts were
+// recorded from the image-based encoder (capture_image, then one flat
+// section list per encode) that the streaming encoder replaced; the digests
+// were re-recorded for format v5, which re-lays out the same fields
+// (checksum order, recorder tail) and so keeps every length and count.
 // The format admits one encoding per state, so any drift is a format
-// change. Every step also resolves its chain and compares it with a
-// direct capture.
+// change. Every step also re-joins its file with checksums recomputed by
+// the test, resolves its chain and compares it with a direct capture.
 
 struct StreamStep {
   std::uint64_t digest = 0;  // FNV-1a of the whole file.
@@ -957,6 +988,8 @@ class StreamRecorder {
     support::DiagnosticSink sink;
     // One Result for the whole stream, as CheckpointStore keeps it.
     ASSERT_TRUE(encoder_.encode(targets, force_full, result_, sink)) << sink.str();
+    // Recomputes every checksum the encoder cached or extended, from scratch.
+    EXPECT_EQ(join(split(result_.bytes)), result_.bytes) << "step " << steps_.size();
     if (!result_.delta) chain_.clear();
     chain_.push_back(result_.bytes);
     const std::vector<std::string_view> views(chain_.begin(), chain_.end());
@@ -1076,29 +1109,29 @@ TEST_F(BinarySnapshotTest, RingStreamMatchesGoldenBytes) {
   stream.encode(without_plan, false);  // #22 recorder payload (the ring overwrote)
 
   expect_stream(stream.steps(), {
-      {0xcb3edb723c297f3ULL, 1440, 10, 10, false, 1, 0},
-      {0xe769e1ef18becd81ULL, 319, 0, 10, true, 2, 1},
-      {0xbb13f54a01b0eb16ULL, 1332, 8, 10, true, 3, 2},
-      {0x7d7229ddfca27fecULL, 1273, 7, 10, true, 4, 3},
-      {0x2274b6ffb2068ad2ULL, 1488, 8, 10, true, 5, 4},
-      {0x473cb60d0bf39c48ULL, 1426, 7, 10, true, 6, 5},
-      {0xd43f28d3eb9109cbULL, 1393, 9, 9, false, 7, 0},
-      {0x94a62a969aa1aef4ULL, 1588, 10, 10, false, 8, 0},
-      {0x720031ac187374d3ULL, 1426, 7, 10, true, 9, 8},
-      {0x9a012e00f7f08f57ULL, 443, 1, 10, true, 10, 9},
-      {0x10236aff61df4ebULL, 1186, 7, 10, true, 11, 10},
-      {0x925f5ad5a419b5e4ULL, 319, 0, 10, true, 12, 11},
-      {0xb6e457639c057276ULL, 1162, 7, 10, true, 13, 12},
-      {0x357c656b87c10982ULL, 1567, 10, 10, false, 14, 0},
-      {0x501ccc6bacc65974ULL, 1488, 8, 10, true, 15, 14},
-      {0x92f98aa5e8d45dfdULL, 1588, 10, 10, false, 21, 0},
-      {0xec718306431fd75bULL, 1426, 7, 10, true, 22, 21},
-      {0xb93b71e64e61dd5fULL, 1588, 10, 10, false, 23, 0},
-      {0xabef713b7795584ULL, 1356, 7, 10, true, 24, 23},
-      {0xcc27e95edf4afdcdULL, 611, 1, 10, true, 25, 24},
-      {0x9093f546873965a2ULL, 611, 1, 10, true, 26, 25},
-      {0xa4648d4f48143e8fULL, 1205, 9, 9, false, 27, 0},
-      {0x3f4c51e8d6dd304ULL, 587, 1, 9, true, 28, 27},
+      {0xfe9a45b64f9dc5c4ULL, 1440, 10, 10, false, 1, 0},
+      {0xa9a3b4a58b59b89bULL, 319, 0, 10, true, 2, 1},
+      {0x5987492d5243eef5ULL, 1332, 8, 10, true, 3, 2},
+      {0x17f77f85079af8fbULL, 1273, 7, 10, true, 4, 3},
+      {0x74dd5ba22ce5243cULL, 1488, 8, 10, true, 5, 4},
+      {0xa771980e3ab0aa20ULL, 1426, 7, 10, true, 6, 5},
+      {0x32de012df6328febULL, 1393, 9, 9, false, 7, 0},
+      {0x42f4e4fbbdc3a1f7ULL, 1588, 10, 10, false, 8, 0},
+      {0xef2d786542296442ULL, 1426, 7, 10, true, 9, 8},
+      {0x48369780148ea622ULL, 443, 1, 10, true, 10, 9},
+      {0x16550654b8f6d12aULL, 1186, 7, 10, true, 11, 10},
+      {0x75d10c38da04819ULL, 319, 0, 10, true, 12, 11},
+      {0x5f3bebe1bbad9ff4ULL, 1162, 7, 10, true, 13, 12},
+      {0x510abc23062cfcdfULL, 1567, 10, 10, false, 14, 0},
+      {0x7be2f07189729a4dULL, 1488, 8, 10, true, 15, 14},
+      {0xb5fce300da3671f9ULL, 1588, 10, 10, false, 21, 0},
+      {0x681ccfbe66805859ULL, 1426, 7, 10, true, 22, 21},
+      {0xfbdd785ca44035ceULL, 1588, 10, 10, false, 23, 0},
+      {0xe242647628b5fab3ULL, 1356, 7, 10, true, 24, 23},
+      {0x61a0ce24f6d1c283ULL, 611, 1, 10, true, 25, 24},
+      {0xe00c792c79eab461ULL, 611, 1, 10, true, 26, 25},
+      {0x6b2aa34c17b703eaULL, 1205, 9, 9, false, 27, 0},
+      {0xae8d6fff4ca0d471ULL, 587, 1, 9, true, 28, 27},
   });
 }
 
@@ -1113,18 +1146,18 @@ TEST_F(BinarySnapshotTest, StoreCadenceStreamMatchesGoldenBytes) {
     stream.encode(targets, /*force_full=*/i % 4 == 0);
   }
   expect_stream(stream.steps(), {
-      {0xa6e70fdea8530a69ULL, 1387, 10, 10, false, 1, 0},
-      {0x272cc56d320511feULL, 1332, 8, 10, true, 2, 1},
-      {0xd48a1394c81c7d93ULL, 1225, 7, 10, true, 3, 2},
-      {0xfd87856d948ce594ULL, 1225, 7, 10, true, 4, 3},
-      {0x56ffcf5100d52768ULL, 1591, 10, 10, false, 5, 0},
-      {0xcd9d97d0531a454eULL, 1260, 8, 10, true, 6, 5},
-      {0x5f07a610233fe83fULL, 1186, 7, 10, true, 7, 6},
-      {0x956aa3cbb720e6bdULL, 1186, 7, 10, true, 8, 7},
-      {0xd706af47db3fc878ULL, 1744, 10, 10, false, 9, 0},
-      {0xb87fe75028f4ee4dULL, 1186, 7, 10, true, 10, 9},
-      {0x2ac7dfc43a7b3db6ULL, 1186, 7, 10, true, 11, 10},
-      {0xc34e84f37c9a2477ULL, 1186, 7, 10, true, 12, 11},
+      {0x12173ac24ddf956aULL, 1387, 10, 10, false, 1, 0},
+      {0xb8bdf806d6a42a8aULL, 1332, 8, 10, true, 2, 1},
+      {0x994912ba86afd825ULL, 1225, 7, 10, true, 3, 2},
+      {0xce028305817e5cd6ULL, 1225, 7, 10, true, 4, 3},
+      {0x14157c4d8771e92fULL, 1591, 10, 10, false, 5, 0},
+      {0x865e51be192d3215ULL, 1260, 8, 10, true, 6, 5},
+      {0x809951b51ca44733ULL, 1186, 7, 10, true, 7, 6},
+      {0xfad0cfc09f249843ULL, 1186, 7, 10, true, 8, 7},
+      {0x73700b95c05804d4ULL, 1744, 10, 10, false, 9, 0},
+      {0x8f62282602186f30ULL, 1186, 7, 10, true, 10, 9},
+      {0x34fcd3236680fd8eULL, 1186, 7, 10, true, 11, 10},
+      {0xc4535965a2f26f57ULL, 1186, 7, 10, true, 12, 11},
   });
 }
 
@@ -1348,6 +1381,44 @@ TEST_F(CheckpointStoreTest, InjectedWriteFaultsRecoverViaLadder) {
   support::DiagnosticSink sink;
   ASSERT_TRUE(recovery.restore_latest_good(restored.targets(), sink)) << sink.str();
   EXPECT_GE(recovery.stats().restored_seq, 1u);
+  restored.run();
+  expect_same_outcome(restored, reference, reference_log);
+}
+
+TEST_F(CheckpointStoreTest, FailedWriteStartsTheNextCheckpointFromAFull) {
+  FullRig reference(*machine_);
+  reference.run();
+  const std::vector<sim::RecordedEvent> reference_log = reference.recorder.log();
+
+  // A long full interval: only the failed write can make the next one full.
+  FullRig source(*machine_);
+  CheckpointStore store(config(/*full_interval=*/10));
+  write_checkpoints(source, store, 2);
+  ASSERT_EQ(store.stats().deltas, 1u);
+
+  // The directory vanishes, so the write fails and no file lands.
+  std::filesystem::remove_all(dir_);
+  source.run(kMidRunPs + 20000 * 2);
+  CheckpointStore::WriteResult failed;
+  support::DiagnosticSink failed_sink;
+  EXPECT_FALSE(store.checkpoint(source.targets(), failed, failed_sink));
+  EXPECT_NE(failed_sink.str().find("cannot write"), std::string::npos) << failed_sink.str();
+
+  // With the directory back, the next checkpoint must not chain to the
+  // file that never landed: it starts a new base.
+  std::filesystem::create_directories(dir_);
+  source.run(kMidRunPs + 20000 * 3);
+  CheckpointStore::WriteResult next;
+  support::DiagnosticSink sink;
+  ASSERT_TRUE(store.checkpoint(source.targets(), next, sink)) << sink.str();
+  EXPECT_FALSE(next.delta);
+  ASSERT_EQ(snapshot_files(dir_).size(), 1u);
+
+  FullRig restored(*machine_);
+  CheckpointStore recovery(config(10));
+  ASSERT_TRUE(recovery.restore_latest_good(restored.targets(), sink)) << sink.str();
+  EXPECT_EQ(recovery.stats().restored_seq, next.seq);
+  EXPECT_EQ(recovery.stats().quarantines, 0u);
   restored.run();
   expect_same_outcome(restored, reference, reference_log);
 }
