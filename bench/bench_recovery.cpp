@@ -64,26 +64,7 @@ struct WorkerRig {
     out.kernel = &kernel;
     out.recorder = &recorder;
     out.supervisors.push_back({"soc", &supervisor});
-    out.banks.push_back(
-        {"state",
-         [this] {
-           return std::vector<std::pair<std::string, std::uint64_t>>{{"ticks", ticks},
-                                                                     {"counter", counter}};
-         },
-         [this](const std::vector<std::pair<std::string, std::uint64_t>>& values,
-                support::DiagnosticSink& sink) {
-           for (const auto& [key, value] : values) {
-             if (key == "ticks") {
-               ticks = value;
-             } else if (key == "counter") {
-               counter = value;
-             } else {
-               sink.error("state", "unknown key '" + key + "'");
-               return false;
-             }
-           }
-           return true;
-         }});
+    out.banks.push_back({"state", {{"ticks", &ticks}, {"counter", &counter}}});
     return out;
   }
 };

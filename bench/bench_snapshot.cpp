@@ -60,6 +60,7 @@ struct BenchRig {
   std::unique_ptr<statechart::StateMachine> machine = make_machine();
   std::vector<std::unique_ptr<statechart::StateMachineInstance>> instances;
   std::vector<std::uint64_t> memory = std::vector<std::uint64_t>(64, 0);
+  std::vector<std::string> memory_keys;  ///< "w0".."w63", the memory bank's keys.
   sim::ProcessId ticker = sim::kInvalidProcess;
   std::uint64_t ticks = 0;
   std::uint64_t read_sum = 0;
@@ -72,7 +73,10 @@ struct BenchRig {
         port(kernel, bus, "port"),
         breaker(kernel, port, "dma"),
         supervisor(kernel, "soc") {
-    for (std::size_t i = 0; i < memory.size(); ++i) memory[i] = 0x1000 + i;
+    for (std::size_t i = 0; i < memory.size(); ++i) {
+      memory[i] = 0x1000 + i;
+      memory_keys.push_back("w" + std::to_string(i));
+    }
     bus.map_device(
         "ram", 0x0, memory.size() * 8,
         [this](std::uint64_t address) { return memory[address / 8]; },
@@ -129,33 +133,12 @@ struct BenchRig {
     out.supervisors.push_back({"soc", &supervisor});
     out.breakers.push_back({"dma", &breaker});
     out.health.push_back({"health", &health});
-    out.banks.push_back(
-        {"memory",
-         [this] {
-           std::vector<std::pair<std::string, std::uint64_t>> values;
-           for (std::size_t i = 0; i < memory.size(); ++i) {
-             values.emplace_back("w" + std::to_string(i), memory[i]);
-           }
-           values.emplace_back("ticks", ticks);
-           values.emplace_back("read-sum", read_sum);
-           return values;
-         },
-         [this](const std::vector<std::pair<std::string, std::uint64_t>>& values,
-                support::DiagnosticSink& sink) {
-           for (const auto& [key, value] : values) {
-             if (key == "ticks") {
-               ticks = value;
-             } else if (key == "read-sum") {
-               read_sum = value;
-             } else if (key.size() > 1 && key[0] == 'w') {
-               memory[static_cast<std::size_t>(std::stoul(key.substr(1)))] = value;
-             } else {
-               sink.error("memory", "unknown key '" + key + "'");
-               return false;
-             }
-           }
-           return true;
-         }});
+    replay::ValueBank& bank = out.banks.emplace_back("memory");
+    for (std::size_t i = 0; i < memory.size(); ++i) {
+      bank.fields.push_back({memory_keys[i], &memory[i]});
+    }
+    bank.fields.push_back({"ticks", &ticks});
+    bank.fields.push_back({"read-sum", &read_sum});
     return out;
   }
 };

@@ -161,41 +161,19 @@ const char* engine_label() {
 /// Snapshot bank over a BusMasterPort's retry counters; both the replay rig
 /// and each leg of the degraded-mode rig checkpoint their ports this way.
 replay::ValueBank port_stats_bank(std::string name, sim::BusMasterPort& port) {
-  replay::ValueBank bank;
-  bank.name = std::move(name);
-  bank.capture = [&port] {
-    const sim::BusMasterPort::Stats& stats = port.stats();
-    return std::vector<std::pair<std::string, std::uint64_t>>{
-        {"transactions", stats.transactions}, {"timeouts", stats.timeouts},
-        {"retries", stats.retries},           {"exhausted", stats.exhausted},
-        {"recovered", stats.recovered},       {"late-completions",
-                                               stats.late_completions}};
-  };
-  bank.restore = [&port, bank_name = bank.name](
-                     const std::vector<std::pair<std::string, std::uint64_t>>& values,
-                     support::DiagnosticSink& bank_sink) {
-    sim::BusMasterPort::Stats stats;
-    for (const auto& [key, value] : values) {
-      if (key == "transactions") {
-        stats.transactions = value;
-      } else if (key == "timeouts") {
-        stats.timeouts = value;
-      } else if (key == "retries") {
-        stats.retries = value;
-      } else if (key == "exhausted") {
-        stats.exhausted = value;
-      } else if (key == "recovered") {
-        stats.recovered = value;
-      } else if (key == "late-completions") {
-        stats.late_completions = value;
-      } else {
-        bank_sink.error(bank_name, "unknown counter '" + key + "'");
-        return false;
-      }
-    }
-    port.restore_checkpoint(stats);
-    return true;
-  };
+  sim::BusMasterPort::Stats& stats = port.checkpoint_stats();
+  return {std::move(name),
+          {{"transactions", &stats.transactions}, {"timeouts", &stats.timeouts},
+           {"retries", &stats.retries}, {"exhausted", &stats.exhausted},
+           {"recovered", &stats.recovered}, {"late-completions", &stats.late_completions}}};
+}
+
+/// Snapshot bank over a HwModuleSim's registers and access counters.
+replay::ValueBank module_bank(std::string name, codegen::HwModuleSim& module) {
+  replay::ValueBank bank{std::move(name), {}};
+  module.visit_values([&bank](std::string_view key, std::uint64_t& value) {
+    bank.fields.push_back({key, &value});
+  });
   return bank;
 }
 
@@ -252,12 +230,7 @@ struct ReplayRig {
     out.machines.push_back({"health", &health});
     out.buses.push_back({"axi-faulty", &bus});
     out.watchdogs.push_back({"driver-watchdog", &watchdog});
-    out.banks.push_back(
-        {"uart", [this] { return uart.capture_values(); },
-         [this](const std::vector<std::pair<std::string, std::uint64_t>>& values,
-                support::DiagnosticSink& bank_sink) {
-           return uart.restore_values(values, bank_sink);
-         }});
+    out.banks.push_back(module_bank("uart", uart));
     out.banks.push_back(port_stats_bank("port", driver.port()));
     return out;
   }
@@ -477,43 +450,12 @@ struct DegradedRig {
     out.supervisors.push_back({"soc", &sup});
     out.breakers.push_back({"dma", &breaker});
     out.health.push_back({"health", &health});
-    out.banks.push_back(
-        {"uart", [this] { return uart.capture_values(); },
-         [this](const std::vector<std::pair<std::string, std::uint64_t>>& values,
-                support::DiagnosticSink& bank_sink) {
-           return uart.restore_values(values, bank_sink);
-         }});
+    out.banks.push_back(module_bank("uart", uart));
     out.banks.push_back(port_stats_bank("dma-port", dma_port));
     out.banks.push_back(port_stats_bank("pio-port", pio_port));
-    out.banks.push_back(
-        {"traffic",
-         [this] {
-           return std::vector<std::pair<std::string, std::uint64_t>>{
-               {"target", target},   {"sent", sent},       {"delivered", delivered},
-               {"via-dma", via_dma}, {"via-pio", via_pio}, {"lost", lost}};
-         },
-         [this](const std::vector<std::pair<std::string, std::uint64_t>>& values,
-                support::DiagnosticSink& bank_sink) {
-           for (const auto& [key, value] : values) {
-             if (key == "target") {
-               target = value;
-             } else if (key == "sent") {
-               sent = value;
-             } else if (key == "delivered") {
-               delivered = value;
-             } else if (key == "via-dma") {
-               via_dma = value;
-             } else if (key == "via-pio") {
-               via_pio = value;
-             } else if (key == "lost") {
-               lost = value;
-             } else {
-               bank_sink.error("traffic", "unknown counter '" + key + "'");
-               return false;
-             }
-           }
-           return true;
-         }});
+    out.banks.push_back({"traffic",
+                         {{"target", &target}, {"sent", &sent}, {"delivered", &delivered},
+                          {"via-dma", &via_dma}, {"via-pio", &via_pio}, {"lost", &lost}}});
     return out;
   }
 };

@@ -131,42 +131,4 @@ void HwModuleSim::dispatch(const std::string& event, std::int64_t data) {
   sync_from_behavior();
 }
 
-std::vector<std::pair<std::string, std::uint64_t>> HwModuleSim::capture_values() const {
-  std::vector<std::pair<std::string, std::uint64_t>> values;
-  values.reserve(registers_.size() + 2);
-  for (const auto& [offset, reg] : registers_) values.emplace_back(reg.name, reg.value);
-  values.emplace_back("#bus-reads", bus_reads_);
-  values.emplace_back("#bus-writes", bus_writes_);
-  return values;
-}
-
-bool HwModuleSim::restore_values(const std::vector<std::pair<std::string, std::uint64_t>>& values,
-                                 support::DiagnosticSink& sink) {
-  bool ok = true;
-  for (const auto& [key, value] : values) {
-    if (key == "#bus-reads") {
-      bus_reads_ = value;
-      continue;
-    }
-    if (key == "#bus-writes") {
-      bus_writes_ = value;
-      continue;
-    }
-    bool found = false;
-    for (auto& [offset, reg] : registers_) {
-      if (reg.name == key) {
-        reg.value = value;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      sink.error("hw-module " + name_, "snapshot names unknown register '" + key + "'");
-      ok = false;
-    }
-  }
-  if (ok && behavior_ != nullptr) sync_to_behavior();
-  return ok;
-}
-
 }  // namespace umlsoc::codegen

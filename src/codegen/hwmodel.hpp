@@ -10,8 +10,7 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <utility>
-#include <vector>
+#include <string_view>
 
 #include "sim/bus.hpp"
 #include "soc/profile.hpp"
@@ -59,18 +58,20 @@ class HwModuleSim {
   [[nodiscard]] std::uint64_t bus_reads() const { return bus_reads_; }
   [[nodiscard]] std::uint64_t bus_writes() const { return bus_writes_; }
 
-  /// Flat checkpoint view for the replay module's generic value banks:
-  /// every register (key = register name, ascending offset order) plus the
-  /// access counters under the reserved keys "#bus-reads" / "#bus-writes"
-  /// ('#' cannot occur in a model property name). The attached behavior
-  /// machine is snapshotted separately through its StateMachineInstance.
-  [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> capture_values() const;
-
-  /// Restores a capture_values() view. Unknown keys report through `sink`
-  /// and fail the restore (registers already matched stay written — callers
-  /// treat a failed restore as fatal).
-  bool restore_values(const std::vector<std::pair<std::string, std::uint64_t>>& values,
-                      support::DiagnosticSink& sink);
+  /// Flat checkpoint view for the replay module's value banks: calls
+  /// `fn(key, value)` with a mutable reference for every register (key =
+  /// register name, ascending offset order), then for the access counters
+  /// under the reserved keys "#bus-reads" / "#bus-writes" ('#' cannot occur
+  /// in a model property name). Keys live as long as the module. The
+  /// attached behavior machine is snapshotted separately through its
+  /// StateMachineInstance; it picks up restored registers at its next
+  /// dispatch.
+  template <typename Fn>
+  void visit_values(Fn&& fn) {
+    for (auto& [offset, reg] : registers_) fn(std::string_view(reg.name), reg.value);
+    fn(std::string_view("#bus-reads"), bus_reads_);
+    fn(std::string_view("#bus-writes"), bus_writes_);
+  }
 
  private:
   struct Register {

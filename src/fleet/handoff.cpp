@@ -80,34 +80,19 @@ class Cursor {
   bool ok_ = true;
 };
 
-// Field-order helpers shared by the encode and decode sides so the two can
-// never drift: each visits every scalar of the nested structs in one fixed
-// order.
-template <typename Slo, typename Fn>
-void visit_slo(Slo& slo, Fn&& fn) {
-  for (auto* field :
-       {&slo.requests, &slo.delivered, &slo.lost, &slo.transactions, &slo.timeouts,
-        &slo.retries, &slo.recovered, &slo.exhausted, &slo.errors_raised,
-        &slo.errors_unhandled, &slo.restarts, &slo.escalations, &slo.give_ups,
-        &slo.watchdog_trips, &slo.breaker_opens, &slo.breaker_closes,
-        &slo.breaker_fast_failed, &slo.rollbacks, &slo.checkpoints_written,
-        &slo.checkpoint_write_faults, &slo.rungs_quarantined, &slo.ladder_recoveries,
-        &slo.crash_recoveries, &slo.seeds_poisoned, &slo.lost_work_ps_max}) {
-    fn(*field);
-  }
+// Counter blocks travel as their fields in visit order (support/counters.hpp),
+// so the encode and decode sides can never drift from the structs.
+template <typename Block>
+void put_block(std::string& out, const Block& block) {
+  Block::fields([&out](support::CounterRule, const std::uint64_t& field) { put_u64(out, field); },
+                block);
 }
 
-template <typename Stats, typename Fn>
-void visit_kernel(Stats& stats, Fn&& fn) {
-  for (auto* field :
-       {&stats.timed_peak, &stats.max_deltas_per_instant, &stats.wheel_hits,
-        &stats.heap_hits, &stats.cascades, &stats.processes_registered,
-        &stats.collapsed_notifications, &stats.snapshot.encodes,
-        &stats.snapshot.restores, &stats.snapshot.bytes_written,
-        &stats.snapshot.sections_dirty, &stats.snapshot.sections_total,
-        &stats.snapshot.encode_wall_ns, &stats.snapshot.restore_wall_ns}) {
-    fn(*field);
-  }
+template <typename Block>
+bool get_block(Cursor& cursor, Block& block) {
+  Block::fields([&cursor](support::CounterRule, std::uint64_t& field) { (void)cursor.u64(field); },
+                block);
+  return cursor.ok();
 }
 
 }  // namespace
@@ -215,12 +200,9 @@ std::string encode_result(std::uint64_t index, const RigOutcome& outcome) {
   put_string(out, outcome.failure);
   put_u64(out, outcome.sim_time_ps);
   put_u64(out, outcome.events_processed);
-  visit_slo(outcome.slo, [&out](const std::uint64_t& field) { put_u64(out, field); });
-  put_u64(out, outcome.health.healthy);
-  put_u64(out, outcome.health.degraded);
-  put_u64(out, outcome.health.failed);
-  visit_kernel(outcome.kernel,
-               [&out](const std::uint64_t& field) { put_u64(out, field); });
+  put_block(out, outcome.slo);
+  put_block(out, outcome.health);
+  put_block(out, outcome.kernel);
   put_u32(out, outcome.fault_template);
   put_u64(out, outcome.wall_ns);
   put_u32(out, outcome.attempts);
@@ -240,15 +222,10 @@ bool decode_result(std::string_view payload, std::uint64_t& index, RigOutcome& o
     return false;
   }
   outcome.ok = ok != 0;
-  visit_slo(outcome.slo, [&cursor](std::uint64_t& field) { (void)cursor.u64(field); });
-  if (!cursor.u64(outcome.health.healthy) || !cursor.u64(outcome.health.degraded) ||
-      !cursor.u64(outcome.health.failed)) {
-    return false;
-  }
-  visit_kernel(outcome.kernel,
-               [&cursor](std::uint64_t& field) { (void)cursor.u64(field); });
-  if (!cursor.u32(outcome.fault_template) || !cursor.u64(outcome.wall_ns) ||
-      !cursor.u32(outcome.attempts) || !cursor.u64(outcome.resumed_from_seq)) {
+  if (!get_block(cursor, outcome.slo) || !get_block(cursor, outcome.health) ||
+      !get_block(cursor, outcome.kernel) || !cursor.u32(outcome.fault_template) ||
+      !cursor.u64(outcome.wall_ns) || !cursor.u32(outcome.attempts) ||
+      !cursor.u64(outcome.resumed_from_seq)) {
     return false;
   }
   return cursor.exhausted();

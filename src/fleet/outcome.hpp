@@ -17,6 +17,7 @@
 
 #include "sim/kernel.hpp"
 #include "sim/supervise.hpp"
+#include "support/counters.hpp"
 
 namespace umlsoc::fleet {
 
@@ -84,11 +85,41 @@ struct SloCounters {
   // Cross-process fleet.
   std::uint64_t seeds_poisoned = 0;  ///< Seeds quarantined after killing K workers.
 
-  /// Element-wise accumulation (max for lost_work_ps_max).
-  void add(const SloCounters& other);
+  /// Counter-block visitor (support/counters.hpp). The order is the worker
+  /// wire order (handoff.hpp), so seeds_poisoned precedes lost_work_ps_max.
+  template <typename Fn, typename... Blocks>
+  static constexpr void fields(Fn&& fn, Blocks&... blocks) {
+    using enum support::CounterRule;
+    fn(kSum, blocks.requests...);
+    fn(kSum, blocks.delivered...);
+    fn(kSum, blocks.lost...);
+    fn(kSum, blocks.transactions...);
+    fn(kSum, blocks.timeouts...);
+    fn(kSum, blocks.retries...);
+    fn(kSum, blocks.recovered...);
+    fn(kSum, blocks.exhausted...);
+    fn(kSum, blocks.errors_raised...);
+    fn(kSum, blocks.errors_unhandled...);
+    fn(kSum, blocks.restarts...);
+    fn(kSum, blocks.escalations...);
+    fn(kSum, blocks.give_ups...);
+    fn(kSum, blocks.watchdog_trips...);
+    fn(kSum, blocks.breaker_opens...);
+    fn(kSum, blocks.breaker_closes...);
+    fn(kSum, blocks.breaker_fast_failed...);
+    fn(kSum, blocks.rollbacks...);
+    fn(kSum, blocks.checkpoints_written...);
+    fn(kSum, blocks.checkpoint_write_faults...);
+    fn(kSum, blocks.rungs_quarantined...);
+    fn(kSum, blocks.ladder_recoveries...);
+    fn(kSum, blocks.crash_recoveries...);
+    fn(kSum, blocks.seeds_poisoned...);
+    fn(kMax, blocks.lost_work_ps_max...);
+  }
 
   friend bool operator==(const SloCounters&, const SloCounters&) = default;
 };
+static_assert(support::covers_layout<SloCounters>());
 
 /// HealthRegistry rollup: unit counts per final health state. A fleet
 /// aggregates these across rigs — "how many units fleet-wide ended
@@ -101,17 +132,26 @@ struct HealthRollup {
 
   /// Counts `registry`'s units into this rollup.
   void add(const sim::HealthRegistry& registry);
-  void add(const HealthRollup& other);
 
   [[nodiscard]] std::uint64_t units() const { return healthy + degraded + failed; }
   friend bool operator==(const HealthRollup&, const HealthRollup&) = default;
-};
 
-/// Kernel Stats reduction: counters sum, high-water marks take the max.
-/// Used both to fold a multi-kernel rig (e.g. the chaos soak's reference /
-/// restored / crash legs) into one record and to fold rig records into the
-/// fleet report.
-void reduce(sim::Kernel::Stats& into, const sim::Kernel::Stats& stats);
+  /// Counter-block visitor (support/counters.hpp).
+  template <typename Fn, typename... Blocks>
+  static constexpr void fields(Fn&& fn, Blocks&... blocks) {
+    using enum support::CounterRule;
+    fn(kSum, blocks.healthy...);
+    fn(kSum, blocks.degraded...);
+    fn(kSum, blocks.failed...);
+  }
+};
+static_assert(support::covers_layout<HealthRollup>());
+
+/// Counter-block reduction (SloCounters, HealthRollup, sim::Kernel::Stats):
+/// counters sum, high-water marks take the max. Folds a multi-kernel rig
+/// (e.g. the chaos soak's reference / restored / crash legs) into one
+/// record, and rig records into the fleet report.
+using support::reduce;
 
 /// Everything one rig reports back to the fleet. Aside from `wall_ns`
 /// (host time, nondeterministic by nature) every field must be a pure
@@ -140,9 +180,10 @@ struct RigOutcome {
   std::uint32_t attempts = 0;          ///< Dispatches it took to land this outcome.
   std::uint64_t resumed_from_seq = 0;  ///< Handoff resume rung (0 = ran from scratch).
 
-  /// Deterministic equality: every field except wall_ns. The fleet
-  /// determinism gate compares per-seed outcomes across thread counts with
-  /// this, not operator==.
+  /// Deterministic equality: every field except the host-side ones
+  /// (wall_ns, attempts, resumed_from_seq) and the counter blocks'
+  /// wall-clock fields. The fleet determinism gate compares per-seed
+  /// outcomes across thread counts with this, not operator==.
   [[nodiscard]] bool deterministic_equal(const RigOutcome& other) const;
 };
 

@@ -60,8 +60,8 @@ FleetReport FleetReport::aggregate(const std::vector<RigOutcome>& outcomes) {
       report.failed_seeds.push_back(outcome.seed);
     }
     if (outcome.slo.seeds_poisoned != 0) report.poisoned_seeds.push_back(outcome.seed);
-    report.slo.add(outcome.slo);
-    report.health.add(outcome.health);
+    reduce(report.slo, outcome.slo);
+    reduce(report.health, outcome.health);
     reduce(report.kernel, outcome.kernel);
     report.sim_time_ps_total += outcome.sim_time_ps;
     report.sim_time_ps_max = std::max(report.sim_time_ps_max, outcome.sim_time_ps);
@@ -73,7 +73,7 @@ FleetReport FleetReport::aggregate(const std::vector<RigOutcome>& outcomes) {
     TemplateRollup& slice = report.templates[outcome.fault_template];
     ++slice.rigs;
     if (outcome.ok) ++slice.rigs_ok;
-    slice.slo.add(outcome.slo);
+    reduce(slice.slo, outcome.slo);
   }
   return report;
 }

@@ -573,8 +573,7 @@ bool decode_health(ByteReader& in, sim::HealthRegistry::Checkpoint& out) {
   return !in.failed();
 }
 
-void encode_bank(ByteWriter& out,
-                 const std::vector<std::pair<std::string, std::uint64_t>>& values) {
+void encode_bank(ByteWriter& out, const SnapshotImage::BankValues& values) {
   out.u32(static_cast<std::uint32_t>(values.size()));
   for (const auto& [key, value] : values) {
     out.str(key);
@@ -582,7 +581,16 @@ void encode_bank(ByteWriter& out,
   }
 }
 
-bool decode_bank(ByteReader& in, std::vector<std::pair<std::string, std::uint64_t>>& out) {
+/// A live bank encodes exactly like its captured image: keys in field order.
+void encode_bank(ByteWriter& out, const ValueBank& bank) {
+  out.u32(static_cast<std::uint32_t>(bank.fields.size()));
+  for (const ValueBank::Field& field : bank.fields) {
+    out.str(field.key);
+    out.u64(*field.value);
+  }
+}
+
+bool decode_bank(ByteReader& in, SnapshotImage::BankValues& out) {
   const std::uint32_t count = in.u32();
   for (std::uint32_t i = 0; i < count && !in.failed(); ++i) {
     std::string key = in.str();
@@ -733,8 +741,7 @@ bool assemble_image(const std::vector<FlatSection>& sections, SnapshotImage& ima
         break;
       }
       case SectionKind::kBank: {
-        SnapshotImage::Named<std::vector<std::pair<std::string, std::uint64_t>>> entry{
-            section.name, {}};
+        SnapshotImage::Named<SnapshotImage::BankValues> entry{section.name, {}};
         ok = decode_bank(in, entry.state);
         if (ok) out.banks.push_back(std::move(entry));
         break;
@@ -1179,7 +1186,7 @@ void visit_live_sections(const SnapshotTargets& targets, const sim::Kernel::Chec
   }
   for (const ValueBank& bank : targets.banks) {
     visit(SectionKind::kBank, bank.name,
-          [&](ByteWriter& out) { encode_bank(out, bank.capture()); });
+          [&](ByteWriter& out) { encode_bank(out, bank); });
   }
 }
 

@@ -56,6 +56,38 @@ bool match_sections(std::string_view element,
   return ok;
 }
 
+/// Checks one bank section against its bank's fields: every stored key binds
+/// exactly one field and every field gets a value. Appends the restore's
+/// writes to `writes`, so applying them cannot fail.
+bool match_bank_keys(const ValueBank& bank, const SnapshotImage::BankValues& values,
+                     std::vector<std::pair<std::uint64_t*, std::uint64_t>>& writes,
+                     support::DiagnosticSink& sink) {
+  bool ok = true;
+  std::vector<bool> bound(bank.fields.size(), false);
+  for (const auto& [key, value] : values) {
+    std::size_t field = 0;
+    while (field < bank.fields.size() && bank.fields[field].key != key) ++field;
+    if (field == bank.fields.size()) {
+      sink.error("snapshot", "<bank> section '" + bank.name + "' has unknown key '" + key + "'");
+      ok = false;
+    } else if (bound[field]) {
+      sink.error("snapshot", "<bank> section '" + bank.name + "' has duplicate key '" + key + "'");
+      ok = false;
+    } else {
+      bound[field] = true;
+      writes.emplace_back(bank.fields[field].value, value);
+    }
+  }
+  for (std::size_t field = 0; field < bank.fields.size(); ++field) {
+    if (!bound[field]) {
+      sink.error("snapshot", "<bank> section '" + bank.name + "' has no value for key '" +
+                                 std::string(bank.fields[field].key) + "'");
+      ok = false;
+    }
+  }
+  return ok;
+}
+
 /// True when `label` is the expectation a watchdog named `name` holds while
 /// armed ("watchdog <name> armed"), compared without building the string.
 bool is_watchdog_label(std::string_view label, std::string_view name) {
@@ -153,7 +185,8 @@ bool capture_image(const SnapshotTargets& targets, SnapshotImage& image,
     out.health.push_back({target.name, target.registry->capture_checkpoint()});
   }
   for (const ValueBank& bank : targets.banks) {
-    out.banks.push_back({bank.name, bank.capture()});
+    auto& values = out.banks.emplace_back(bank.name).state;
+    for (const ValueBank::Field& field : bank.fields) values.emplace_back(field.key, *field.value);
   }
   image = std::move(out);
   return true;
@@ -194,6 +227,7 @@ bool apply_image(const SnapshotTargets& targets, const SnapshotImage& image,
   std::vector<std::size_t> breaker_order;
   std::vector<std::size_t> health_order;
   std::vector<std::size_t> bank_order;
+  std::vector<std::pair<std::uint64_t*, std::uint64_t>> bank_writes;
   ok = match_sections("machine", image.machines, targets.machines, machine_order, sink) && ok;
   ok = match_sections("bus", image.buses, targets.buses, bus_order, sink) && ok;
   ok = match_sections("watchdog", image.watchdogs, targets.watchdogs, watchdog_order, sink) &&
@@ -204,6 +238,12 @@ bool apply_image(const SnapshotTargets& targets, const SnapshotImage& image,
   ok = match_sections("breaker", image.breakers, targets.breakers, breaker_order, sink) && ok;
   ok = match_sections("health", image.health, targets.health, health_order, sink) && ok;
   ok = match_sections("bank", image.banks, targets.banks, bank_order, sink) && ok;
+  if (!ok) return false;
+  for (std::size_t i = 0; i < targets.banks.size(); ++i) {
+    ok = match_bank_keys(targets.banks[i], image.banks[bank_order[i]].state, bank_writes,
+                         sink) &&
+         ok;
+  }
   if (!ok) return false;
 
   // Apply. The kernel goes first (it validates process addressing and wipes
@@ -245,9 +285,7 @@ bool apply_image(const SnapshotTargets& targets, const SnapshotImage& image,
       return false;
     }
   }
-  for (std::size_t i = 0; i < targets.banks.size(); ++i) {
-    if (!targets.banks[i].restore(image.banks[bank_order[i]].state, sink)) return false;
-  }
+  for (const auto& [field, value] : bank_writes) *field = value;
   if (targets.recorder != nullptr) {
     targets.recorder->restore_log(image.recorder->events, image.recorder->total);
   }
@@ -287,12 +325,6 @@ std::function<bool()> restart_from_snapshot(statechart::Engine& instance,
                                             support::DiagnosticSink& sink) {
   auto snapshot = std::make_shared<statechart::InstanceSnapshot>(instance.capture());
   return [&instance, &sink, snapshot] { return instance.restore(*snapshot, sink); };
-}
-
-std::function<bool()> restart_from_bank(ValueBank bank, support::DiagnosticSink& sink) {
-  auto values = std::make_shared<std::vector<std::pair<std::string, std::uint64_t>>>(
-      bank.capture());
-  return [bank = std::move(bank), &sink, values] { return bank.restore(*values, sink); };
 }
 
 }  // namespace umlsoc::replay

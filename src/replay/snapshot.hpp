@@ -85,16 +85,19 @@ struct HealthTarget {
   sim::HealthRegistry* registry = nullptr;
 };
 
-/// Generic named key/value section for components without first-class
-/// snapshot support (register files, scoreboards). Capture returns the
-/// values to store; restore applies a stored set and reports problems
-/// through the sink.
+/// Named key/value section for components without first-class snapshot
+/// support (register files, scoreboards, counters): a list of u64 fields
+/// bound in place. A snapshot stores each field under its key, in list
+/// order; restore writes the stored values straight back through the
+/// pointers. Keys are views: they must outlive the bank (string literals,
+/// or names owned by the bound component).
 struct ValueBank {
+  struct Field {
+    std::string_view key;
+    std::uint64_t* value = nullptr;
+  };
   std::string name;
-  std::function<std::vector<std::pair<std::string, std::uint64_t>>()> capture;
-  std::function<bool(const std::vector<std::pair<std::string, std::uint64_t>>&,
-                     support::DiagnosticSink&)>
-      restore;
+  std::vector<Field> fields;
 };
 
 /// The components one snapshot covers. `kernel` is required; everything
@@ -148,7 +151,9 @@ struct SnapshotImage {
   std::vector<Named<sim::Supervisor::Checkpoint>> supervisors;
   std::vector<Named<sim::CircuitBreaker::Checkpoint>> breakers;
   std::vector<Named<sim::HealthRegistry::Checkpoint>> health;
-  std::vector<Named<std::vector<std::pair<std::string, std::uint64_t>>>> banks;
+  /// A bank section's stored values, in the bank's field order.
+  using BankValues = std::vector<std::pair<std::string, std::uint64_t>>;
+  std::vector<Named<BankValues>> banks;
 
   /// Sections the image would serialize (kernel + optionals + named ones).
   [[nodiscard]] std::size_t section_count() const {
@@ -178,8 +183,9 @@ struct SnapshotImage {
 
 /// Applies a decoded image to `targets`: validates fault-plan/recorder
 /// presence and seed, matches every named section one-to-one against the
-/// registered targets, then restores kernel first, recorder last. Matching
-/// or validation failures report through `sink` and return false before any
+/// registered targets and every bank key one-to-one against its bank's
+/// fields, then restores kernel first, recorder last. Matching or
+/// validation failures report through `sink` and return false before any
 /// mutation; component-level apply failures may leave earlier sections
 /// applied — treat a failed apply as fatal.
 [[nodiscard]] bool apply_image(const SnapshotTargets& targets, const SnapshotImage& image,
@@ -196,8 +202,8 @@ struct SnapshotImage {
 
 /// Restores a save_snapshot file into `targets`. The file is fully
 /// validated (magic, version, header and section checksums, payload syntax,
-/// section/target match) before any target is mutated; format errors
-/// therefore never leave a partial restore. Component-level
+/// section/target and bank-key match) before any target is mutated; format
+/// errors therefore never leave a partial restore. Component-level
 /// validation failures during apply (e.g. a snapshot from a structurally
 /// different machine) also report through `sink` and return false, but may
 /// leave earlier sections applied — treat a failed restore as fatal.
@@ -205,9 +211,9 @@ struct SnapshotImage {
                                     support::DiagnosticSink& sink);
 
 // --- warm-restart factories --------------------------------------------------
-// Supervisor children restart through plain callbacks; these build the
-// common ones from the snapshot machinery, so recovery reuses exactly the
-// deterministic state capture the checkpoint format relies on.
+// Supervisor children restart through plain callbacks; this builds one from
+// the snapshot machinery, so recovery reuses exactly the deterministic state
+// capture the checkpoint format relies on.
 
 /// Captures `instance`'s current state (call at the known-good point, e.g.
 /// right after start()) and returns a Supervisor restart callback that
@@ -217,10 +223,5 @@ struct SnapshotImage {
 /// returned callback.
 [[nodiscard]] std::function<bool()> restart_from_snapshot(
     statechart::Engine& instance, support::DiagnosticSink& sink);
-
-/// As above for a ValueBank (register file, scoreboard): captures the
-/// bank's values now, restores them on every invocation.
-[[nodiscard]] std::function<bool()> restart_from_bank(ValueBank bank,
-                                                      support::DiagnosticSink& sink);
 
 }  // namespace umlsoc::replay

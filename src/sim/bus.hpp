@@ -215,13 +215,12 @@ class BusMasterPort {
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const RetryPolicy& policy() const { return policy_; }
 
-  /// Checkpointable per-port state: the counters. Supervision entries for
-  /// in-flight transactions hold completion callbacks and cannot be
-  /// captured — the port's in-flight expectation makes save_snapshot
-  /// reject such states, so a restorable checkpoint always has an empty
-  /// supervision queue.
-  [[nodiscard]] const Stats& capture_checkpoint() const { return stats_; }
-  void restore_checkpoint(const Stats& stats) { stats_ = stats; }
+  /// Checkpointable per-port state: the counters, for binding into a
+  /// snapshot value bank. Supervision entries for in-flight transactions
+  /// hold completion callbacks and cannot be captured — the port's
+  /// in-flight expectation makes save_snapshot reject such states, so a
+  /// restorable checkpoint always has an empty supervision queue.
+  [[nodiscard]] Stats& checkpoint_stats() { return stats_; }
 
  private:
   struct Txn {

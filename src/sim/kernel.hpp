@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "support/counters.hpp"
 #include "support/diagnostics.hpp"
 
 namespace umlsoc::sim {
@@ -214,9 +215,9 @@ class Kernel {
     return timed_size_ == 0 && runnable_.empty() && next_runnable_.empty();
   }
 
-  /// Checkpoint-encoding observability, fed by the replay layer (XML and
-  /// binary snapshot paths, CheckpointStore). Sections dirty/total describe
-  /// incremental encodes; wall times are host-clock nanoseconds.
+  /// Checkpoint-encoding observability, fed by the replay layer (binary
+  /// snapshots, IncrementalEncoder, CheckpointStore). Sections dirty/total
+  /// describe incremental encodes; wall times are host-clock nanoseconds.
   struct SnapshotStats {
     std::uint64_t encodes = 0;          ///< Snapshot/checkpoint serializations.
     std::uint64_t restores = 0;         ///< Successful snapshot applications.
@@ -225,6 +226,19 @@ class Kernel {
     std::uint64_t sections_total = 0;   ///< Sections considered across all encodes.
     std::uint64_t encode_wall_ns = 0;   ///< Host time spent serializing.
     std::uint64_t restore_wall_ns = 0;  ///< Host time spent decoding + applying.
+
+    /// Counter-block visitor (support/counters.hpp), in declaration order.
+    template <typename Fn, typename... Blocks>
+    static constexpr void fields(Fn&& fn, Blocks&... blocks) {
+      using enum support::CounterRule;
+      fn(kSum, blocks.encodes...);
+      fn(kSum, blocks.restores...);
+      fn(kSum, blocks.bytes_written...);
+      fn(kSum, blocks.sections_dirty...);
+      fn(kSum, blocks.sections_total...);
+      fn(kWallSum, blocks.encode_wall_ns...);
+      fn(kWallSum, blocks.restore_wall_ns...);
+    }
   };
 
   /// Scheduler observability counters (monotonic over the kernel's life).
@@ -237,6 +251,21 @@ class Kernel {
     std::uint64_t processes_registered = 0;   ///< register_process calls
     std::uint64_t collapsed_notifications = 0;///< delta notify() calls absorbed by a pending one
     SnapshotStats snapshot;                   ///< checkpoint encode/restore accounting
+
+    /// Counter-block visitor (support/counters.hpp), in declaration order:
+    /// peaks take the max across kernels, everything else sums.
+    template <typename Fn, typename... Blocks>
+    static constexpr void fields(Fn&& fn, Blocks&... blocks) {
+      using enum support::CounterRule;
+      fn(kMax, blocks.timed_peak...);
+      fn(kMax, blocks.max_deltas_per_instant...);
+      fn(kSum, blocks.wheel_hits...);
+      fn(kSum, blocks.heap_hits...);
+      fn(kSum, blocks.cascades...);
+      fn(kSum, blocks.processes_registered...);
+      fn(kSum, blocks.collapsed_notifications...);
+      SnapshotStats::fields(fn, blocks.snapshot...);
+    }
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
@@ -419,6 +448,9 @@ class Kernel {
 
   Stats stats_;
 };
+
+static_assert(support::covers_layout<Kernel::SnapshotStats>());
+static_assert(support::covers_layout<Kernel::Stats>());
 
 // ---- inline hot path ------------------------------------------------------
 // Scheduling an already-registered handle is the per-event steady-state

@@ -53,7 +53,7 @@ std::unique_ptr<statechart::StateMachine> make_machine() {
 /// restart pending mid-run), circuit breaker (driving bus writes), health
 /// registry and a value bank. Constructed identically every time.
 struct FullRig {
-  static constexpr int kTicks = 40;
+  static constexpr std::uint64_t kTicks = 40;
   static constexpr std::uint64_t kTickPs = 10000;  // 10ns.
 
   sim::Kernel kernel;
@@ -70,8 +70,8 @@ struct FullRig {
   sim::ProcessId ticker = sim::kInvalidProcess;
   sim::Supervisor::ChildId dma_child = 0;
   sim::HealthRegistry::UnitId dma_unit = sim::HealthRegistry::kInvalidUnit;
-  int ticks = 0;
-  int child_restarts = 0;
+  std::uint64_t ticks = 0;
+  std::uint64_t child_restarts = 0;
   std::uint64_t read_sum = 0;
 
   explicit FullRig(const statechart::StateMachine& machine, std::size_t ring_capacity = 0)
@@ -131,13 +131,13 @@ struct FullRig {
   void tick() {
     ++ticks;
     watchdog.kick();
-    bus.read((static_cast<std::uint64_t>(ticks) % memory.size()) * 8,
+    bus.read((ticks % memory.size()) * 8,
              sim::MemoryMappedBus::ReadCompletion(
                  [this](sim::BusStatus, std::uint64_t value) { read_sum += value; }));
     if (ticks % 2 == 1) {
-      instance.dispatch(statechart::Event{"go", ticks});
+      instance.dispatch(statechart::Event{"go", static_cast<std::int64_t>(ticks)});
     } else {
-      instance.dispatch(statechart::Event{"done", ticks});
+      instance.dispatch(statechart::Event{"done", static_cast<std::int64_t>(ticks)});
     }
     if (ticks == 1) {
       // A breaker-mediated write and a child failure whose restart stays
@@ -170,36 +170,11 @@ struct FullRig {
     out.supervisors.push_back({"soc", &supervisor});
     out.breakers.push_back({"dma", &breaker});
     out.health.push_back({"health", &health});
-    out.banks.push_back(
-        {"memory",
-         [this] {
-           std::vector<std::pair<std::string, std::uint64_t>> values;
-           for (std::size_t i = 0; i < memory.size(); ++i) {
-             values.emplace_back("w" + std::to_string(i), memory[i]);
-           }
-           values.emplace_back("ticks", static_cast<std::uint64_t>(ticks));
-           values.emplace_back("restarts", static_cast<std::uint64_t>(child_restarts));
-           values.emplace_back("read-sum", read_sum);
-           return values;
-         },
-         [this](const std::vector<std::pair<std::string, std::uint64_t>>& values,
-                support::DiagnosticSink& sink) {
-           for (const auto& [key, value] : values) {
-             if (key == "ticks") {
-               ticks = static_cast<int>(value);
-             } else if (key == "restarts") {
-               child_restarts = static_cast<int>(value);
-             } else if (key == "read-sum") {
-               read_sum = value;
-             } else if (key.size() > 1 && key[0] == 'w') {
-               memory[static_cast<std::size_t>(key[1] - '0')] = value;
-             } else {
-               sink.error("memory", "unknown key '" + key + "'");
-               return false;
-             }
-           }
-           return true;
-         }});
+    out.banks.push_back({"memory",
+                         {{"w0", &memory[0]}, {"w1", &memory[1]}, {"w2", &memory[2]},
+                          {"w3", &memory[3]}, {"w4", &memory[4]}, {"w5", &memory[5]},
+                          {"w6", &memory[6]}, {"w7", &memory[7]}, {"ticks", &ticks},
+                          {"restarts", &child_restarts}, {"read-sum", &read_sum}}});
     return out;
   }
 };

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "fleet/driver.hpp"
+#include "fleet/handoff.hpp"
 #include "fleet/report.hpp"
 #include "sim/fault.hpp"
 #include "sim/kernel.hpp"
@@ -222,6 +223,45 @@ TEST(FleetDeterminism, WallTimeDoesNotBreakDeterministicEquality) {
   EXPECT_TRUE(a.deterministic_equal(b));
   b.slo.delivered += 1;
   EXPECT_FALSE(a.deterministic_equal(b));
+}
+
+/// Adds one to field `index` of `block` (in visit order) and returns its rule.
+template <typename Block>
+support::CounterRule bump_field(Block& block, std::size_t index) {
+  support::CounterRule bumped = support::CounterRule::kSum;
+  std::size_t i = 0;
+  Block::fields(
+      [&](support::CounterRule rule, std::uint64_t& field) {
+        if (i++ == index) {
+          ++field;
+          bumped = rule;
+        }
+      },
+      block);
+  return bumped;
+}
+
+TEST(FleetDeterminism, EveryVisitedFieldFlipsEqualityUnlessWallClock) {
+  // Each counter-block field, bumped alone, must break deterministic
+  // equality exactly when it is not a host-clock field, and must change the
+  // worker wire encoding either way.
+  const RigOutcome base = run_mini_rig({0, 11, 0});
+  const std::string base_wire = encode_result(0, base);
+  std::size_t wall_fields = 0;
+  const auto check_block = [&](auto member, std::size_t fields, const char* block) {
+    for (std::size_t index = 0; index < fields; ++index) {
+      SCOPED_TRACE(std::string(block) + " field " + std::to_string(index));
+      RigOutcome bumped = base;
+      const support::CounterRule rule = bump_field(bumped.*member, index);
+      wall_fields += rule == support::CounterRule::kWallSum ? 1 : 0;
+      EXPECT_EQ(base.deterministic_equal(bumped), rule == support::CounterRule::kWallSum);
+      EXPECT_NE(encode_result(0, bumped), base_wire);
+    }
+  };
+  check_block(&RigOutcome::slo, support::field_count<SloCounters>(), "slo");
+  check_block(&RigOutcome::health, support::field_count<HealthRollup>(), "health");
+  check_block(&RigOutcome::kernel, support::field_count<sim::Kernel::Stats>(), "kernel");
+  EXPECT_EQ(wall_fields, 2u);  // Kernel snapshot encode and restore wall time.
 }
 
 TEST(FleetReportTest, AggregatesCountersHealthAndFailures) {

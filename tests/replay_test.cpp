@@ -43,7 +43,7 @@ std::unique_ptr<statechart::StateMachine> make_machine() {
 /// states. Constructed identically every time, so ProcessIds and vertex
 /// indices are stable across rig instances.
 struct Rig {
-  static constexpr int kTicks = 40;
+  static constexpr std::uint64_t kTicks = 40;
   static constexpr std::uint64_t kTickPs = 10000;  // 10ns.
 
   sim::Kernel kernel;
@@ -55,7 +55,7 @@ struct Rig {
   std::array<std::uint64_t, 8> memory{};
   sim::ProcessId ticker = sim::kInvalidProcess;
   sim::ProcessId perturb = sim::kInvalidProcess;
-  int ticks = 0;
+  std::uint64_t ticks = 0;
   std::uint64_t read_sum = 0;
 
   explicit Rig(const statechart::StateMachine& machine, std::size_t ring_capacity = 0)
@@ -86,13 +86,13 @@ struct Rig {
   void tick() {
     ++ticks;
     watchdog.kick();
-    bus.read((static_cast<std::uint64_t>(ticks) % memory.size()) * 8,
+    bus.read((ticks % memory.size()) * 8,
              sim::MemoryMappedBus::ReadCompletion(
                  [this](sim::BusStatus, std::uint64_t value) { read_sum += value; }));
     if (ticks % 2 == 1) {
-      instance.dispatch(statechart::Event{"go", ticks});
+      instance.dispatch(statechart::Event{"go", static_cast<std::int64_t>(ticks)});
     } else {
-      instance.dispatch(statechart::Event{"done", ticks});
+      instance.dispatch(statechart::Event{"done", static_cast<std::int64_t>(ticks)});
     }
     if (ticks == 2) instance.post(statechart::Event{"pending", 99, "tagged"});
     if (ticks < kTicks) kernel.schedule(SimTime(kTickPs), ticker);
@@ -117,33 +117,11 @@ struct Rig {
     out.machines.push_back({"rig", &instance});
     out.buses.push_back({"mem", &bus});
     out.watchdogs.push_back({"rig", &watchdog});
-    out.banks.push_back(
-        {"memory",
-         [this] {
-           std::vector<std::pair<std::string, std::uint64_t>> values;
-           for (std::size_t i = 0; i < memory.size(); ++i) {
-             values.emplace_back("w" + std::to_string(i), memory[i]);
-           }
-           values.emplace_back("ticks", static_cast<std::uint64_t>(ticks));
-           values.emplace_back("read-sum", read_sum);
-           return values;
-         },
-         [this](const std::vector<std::pair<std::string, std::uint64_t>>& values,
-                support::DiagnosticSink& sink) {
-           for (const auto& [key, value] : values) {
-             if (key == "ticks") {
-               ticks = static_cast<int>(value);
-             } else if (key == "read-sum") {
-               read_sum = value;
-             } else if (key.size() > 1 && key[0] == 'w') {
-               memory[static_cast<std::size_t>(key[1] - '0')] = value;
-             } else {
-               sink.error("memory", "unknown key '" + key + "'");
-               return false;
-             }
-           }
-           return true;
-         }});
+    out.banks.push_back({"memory",
+                         {{"w0", &memory[0]}, {"w1", &memory[1]}, {"w2", &memory[2]},
+                          {"w3", &memory[3]}, {"w4", &memory[4]}, {"w5", &memory[5]},
+                          {"w6", &memory[6]}, {"w7", &memory[7]}, {"ticks", &ticks},
+                          {"read-sum", &read_sum}}});
     return out;
   }
 };
@@ -248,7 +226,7 @@ TEST_F(ReplayTest, VersionMismatchIsRejected) {
       << restore_sink.str();
   // The failed restore left the fresh rig untouched.
   EXPECT_EQ(restored.kernel.now().picoseconds(), 0u);
-  EXPECT_EQ(restored.ticks, 0);
+  EXPECT_EQ(restored.ticks, 0u);
 }
 
 TEST_F(ReplayTest, CorruptedContentFailsTheChecksum) {
@@ -314,8 +292,11 @@ TEST_F(ReplayTest, SaveRefusesForeignOutstandingExpectations) {
 TEST_F(ReplayTest, RestoreRejectsMissingAndForeignSections) {
   // Each row saves from a source rig and restores into a fresh one, either
   // side's targets edited so that the snapshot and the restoring targets
-  // disagree. apply_image must refuse before touching the fresh rig.
+  // disagree. apply_image must refuse before touching the fresh rig. Bank
+  // keys are matched with the sections, so a stored key the restoring bank
+  // does not bind, binds twice or leaves unbound is refused just as early.
   sim::FaultPlan other_plan(/*seed=*/8);
+  std::uint64_t spare = 5;
   struct Row {
     std::string name;
     std::function<void(SnapshotTargets&)> edit_source;
@@ -343,6 +324,15 @@ TEST_F(ReplayTest, RestoreRejectsMissingAndForeignSections) {
       {"registered recorder without a recorder section",
        [](SnapshotTargets& t) { t.recorder = nullptr; }, keep,
        {"no <recorder> section for the registered recorder"}},
+      {"bank key the restoring bank does not bind",
+       [&spare](SnapshotTargets& t) { t.banks[0].fields.push_back({"spare", &spare}); }, keep,
+       {"<bank> section 'memory' has unknown key 'spare'"}},
+      {"bank key stored twice",
+       [](SnapshotTargets& t) { t.banks[0].fields.push_back(t.banks[0].fields[0]); }, keep,
+       {"<bank> section 'memory' has duplicate key 'w0'"}},
+      {"bank key missing from the snapshot",
+       [](SnapshotTargets& t) { t.banks[0].fields.pop_back(); }, keep,
+       {"<bank> section 'memory' has no value for key 'read-sum'"}},
   };
   for (const Row& row : rows) {
     SCOPED_TRACE(row.name);
@@ -354,7 +344,9 @@ TEST_F(ReplayTest, RestoreRejectsMissingAndForeignSections) {
     support::DiagnosticSink sink;
     ASSERT_TRUE(save_snapshot(source_targets, snapshot, sink)) << sink.str();
 
+    // The snapshot's machine is Idle; the restoring one is moved to Busy.
     Rig restored(*machine_);
+    restored.instance.dispatch(statechart::Event{"go"});
     SnapshotTargets targets = restored.targets();
     row.edit_restore(targets);
     support::DiagnosticSink restore_sink;
@@ -363,6 +355,7 @@ TEST_F(ReplayTest, RestoreRejectsMissingAndForeignSections) {
       EXPECT_NE(restore_sink.str().find(expected), std::string::npos) << restore_sink.str();
     }
     EXPECT_EQ(restored.kernel.now().picoseconds(), 0u);
+    EXPECT_TRUE(restored.instance.is_in("Busy"));
     EXPECT_EQ(restored.recorder.total_events(), 0u);
     EXPECT_EQ(restored.kernel.stats().snapshot.restores, 0u);
   }

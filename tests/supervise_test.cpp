@@ -711,30 +711,5 @@ TEST(SuperviseSnapshot, WarmRestartFromSnapshotRewindsAStatechart) {
   EXPECT_EQ(sup.child_stats(unit).restarts, 1u);
 }
 
-TEST(SuperviseSnapshot, RestartFromBankRestoresCapturedValues) {
-  std::uint64_t reg_a = 7;
-  std::uint64_t reg_b = 11;
-  replay::ValueBank bank;
-  bank.name = "regs";
-  bank.capture = [&reg_a, &reg_b] {
-    return std::vector<std::pair<std::string, std::uint64_t>>{{"a", reg_a}, {"b", reg_b}};
-  };
-  bank.restore = [&reg_a, &reg_b](const std::vector<std::pair<std::string, std::uint64_t>>& vs,
-                                  support::DiagnosticSink&) {
-    for (const auto& [key, value] : vs) {
-      if (key == "a") reg_a = value;
-      if (key == "b") reg_b = value;
-    }
-    return true;
-  };
-  support::DiagnosticSink sink;
-  auto restart = replay::restart_from_bank(bank, sink);
-  reg_a = 1000;
-  reg_b = 2000;
-  ASSERT_TRUE(restart());
-  EXPECT_EQ(reg_a, 7u);
-  EXPECT_EQ(reg_b, 11u);
-}
-
 }  // namespace
 }  // namespace umlsoc::sim
