@@ -900,22 +900,15 @@ std::string soak_one_seed(const uml::Component& psm_uart, const soc::SocProfile&
   (void)store.checkpoint(ladder.targets(), write_result, store_sink);
   finish_run(ladder);
 
-  // Crash-style corruption of the newest surviving checkpoint. Skipped when
-  // only the clean base landed: tearing the sole rung would make recovery
-  // impossible by construction, not by bug.
-  std::vector<fs::path> rungs;
-  for (const auto& entry : fs::directory_iterator(ladder_dir)) {
-    if (entry.path().extension() == ".usnap") rungs.push_back(entry.path());
-  }
-  std::sort(rungs.begin(), rungs.end());  // Zero-padded names: seq order.
+  // Crash-style corruption of the newest surviving checkpoint: its record is
+  // cut in half, as a crash mid-append would leave it. Skipped when only the
+  // clean base landed: tearing the sole rung would make recovery impossible
+  // by construction, not by bug.
+  const std::vector<replay::CheckpointStore::RungLocation> rungs = store.rungs();
   if (rungs.size() > 1) {
-    std::ifstream in(rungs.back(), std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    in.close();
-    bytes.resize(bytes.size() / 2);
-    std::ofstream torn(rungs.back(), std::ios::binary | std::ios::trunc);
-    torn.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    std::error_code tear_ec;
+    fs::resize_file(rungs.front().segment, rungs.front().offset + rungs.front().length / 2,
+                    tear_ec);
   }
 
   DegradedRig recovered(psm_uart, profile, link_machine, base, faults, seed, sink);

@@ -10,8 +10,6 @@ namespace umlsoc::replay {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 constexpr std::uint32_t kFlagDelta = 1u;
 
 constexpr std::uint8_t kEntryPayload = 0;
@@ -22,14 +20,6 @@ constexpr std::uint8_t kEntryRecorderAppend = 2;
 constexpr std::size_t kRecorderEntryBytes = 12;
 /// Recorder payload tail: u64 total + u32 count.
 constexpr std::size_t kRecorderTailBytes = 12;
-
-std::uint64_t fnv1a(std::string_view data, std::uint64_t hash = kFnvOffset) {
-  for (unsigned char c : data) {
-    hash ^= c;
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
 
 std::string to_hex(std::uint64_t value) {
   char buffer[17];

@@ -80,6 +80,19 @@ namespace umlsoc::replay {
 inline constexpr std::string_view kBinaryMagic = "USNAPBIN";
 inline constexpr std::string_view kBinaryTrailer = "USNAPEND";
 
+inline constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
+inline constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+
+/// 64-bit FNV-1a over `data`, continuing from `hash`: the checksum of every
+/// snapshot header and frame, and of the checkpoint store's record headers.
+inline std::uint64_t fnv1a(std::string_view data, std::uint64_t hash = kFnvOffset) {
+  for (unsigned char c : data) {
+    hash ^= c;
+    hash *= kFnvPrime;
+  }
+  return hash;
+}
+
 /// Section kind tags (stable on-disk values).
 enum class SectionKind : std::uint8_t {
   kKernel = 1,
@@ -200,7 +213,7 @@ class IncrementalEncoder {
     std::uint8_t entry_flags = 0;  ///< Frame kind chosen by the latest encode.
     /// FNV-1a of `payload`, kept current by every write to it (the initial
     /// value is the hash of no bytes).
-    std::uint64_t hash = 1469598103934665603ULL;
+    std::uint64_t hash = kFnvOffset;
     char reference[8] = {};  ///< Reference frame payload: `hash`, little-endian.
   };
 

@@ -4,20 +4,26 @@
 // bit-flips, erased and duplicated byte runs, duplicated sections, version
 // skew), a table of hostile files that reach each of the decoder's reject
 // paths, incremental delta chains, golden-byte encoder streams, and the
-// CheckpointStore recovery ladder
-// (corrupt/version-skewed/missing files quarantined, write faults injected
-// through FaultSite::kCheckpoint).
+// CheckpointStore segments and recovery ladder (corrupt, version-skewed and
+// torn rungs quarantined and tombstoned, write faults injected through
+// FaultSite::kCheckpoint, a writer SIGKILLed mid-append, rotation).
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "replay/binary.hpp"
@@ -1151,13 +1157,27 @@ bool write_file(const std::filesystem::path& path, std::string_view bytes) {
   return out.good();
 }
 
-std::vector<std::filesystem::path> snapshot_files(const std::filesystem::path& dir) {
-  std::vector<std::filesystem::path> files;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() == ".usnap") files.push_back(entry.path());
-  }
-  std::sort(files.begin(), files.end());  // Zero-padded names: seq order.
-  return files;
+/// Rewrites a rung's snapshot bytes in place; `edit` keeps their length.
+template <typename Edit>
+void edit_rung(const CheckpointStore::RungLocation& rung, Edit edit) {
+  std::string segment;
+  ASSERT_TRUE(read_file(rung.segment, segment));
+  std::string bytes = segment.substr(rung.offset, rung.length);
+  edit(bytes);
+  ASSERT_EQ(bytes.size(), rung.length);
+  segment.replace(rung.offset, rung.length, bytes);
+  ASSERT_TRUE(write_file(rung.segment, segment));
+}
+
+/// Cuts a rung's record in half, as a crash mid-append would leave it.
+void tear(const CheckpointStore::RungLocation& rung) {
+  std::filesystem::resize_file(rung.segment, rung.offset + rung.length / 2);
+}
+
+std::vector<std::uint64_t> seqs_of(const std::vector<CheckpointStore::RungLocation>& rungs) {
+  std::vector<std::uint64_t> out;
+  for (const CheckpointStore::RungLocation& rung : rungs) out.push_back(rung.seq);
+  return out;
 }
 
 class CheckpointStoreTest : public ::testing::Test {
@@ -1196,6 +1216,53 @@ class CheckpointStoreTest : public ::testing::Test {
     }
   }
 
+  /// The body of FailedWriteStartsTheNextCheckpointFromAFull, run in a
+  /// forked child because the file-size limit it sets is process-wide.
+  void fail_one_write_then_recover() {
+    FullRig reference(*machine_);
+    reference.run();
+    const std::vector<sim::RecordedEvent> reference_log = reference.recorder.log();
+
+    // A long full interval: only the failed write can make the next one full.
+    FullRig source(*machine_);
+    CheckpointStore store(config(/*full_interval=*/10));
+    write_checkpoints(source, store, 2);
+    ASSERT_EQ(store.stats().deltas, 1u);
+
+    // The open segment may not grow any further, so the next append fails
+    // and no byte of it lands.
+    const CheckpointStore::RungLocation newest = store.rungs().front();
+    rlimit saved{};
+    ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+    rlimit capped = saved;
+    capped.rlim_cur = newest.offset + newest.length;
+    ::signal(SIGXFSZ, SIG_IGN);
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+    source.run(kMidRunPs + 20000 * 2);
+    CheckpointStore::WriteResult failed;
+    support::DiagnosticSink failed_sink;
+    EXPECT_FALSE(store.checkpoint(source.targets(), failed, failed_sink));
+    EXPECT_NE(failed_sink.str().find("cannot write"), std::string::npos) << failed_sink.str();
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+
+    // The next checkpoint must not chain to the record that never landed:
+    // it starts a new base.
+    source.run(kMidRunPs + 20000 * 3);
+    CheckpointStore::WriteResult next;
+    support::DiagnosticSink sink;
+    ASSERT_TRUE(store.checkpoint(source.targets(), next, sink)) << sink.str();
+    EXPECT_FALSE(next.delta);
+
+    FullRig restored(*machine_);
+    CheckpointStore recovery(config(10));
+    EXPECT_EQ(seqs_of(recovery.rungs()), (std::vector<std::uint64_t>{next.seq, 2, 1}));
+    ASSERT_TRUE(recovery.restore_latest_good(restored.targets(), sink)) << sink.str();
+    EXPECT_EQ(recovery.stats().restored_seq, next.seq);
+    EXPECT_EQ(recovery.stats().quarantines, 0u);
+    restored.run();
+    expect_same_outcome(restored, reference, reference_log);
+  }
+
   std::filesystem::path root_;
   std::filesystem::path dir_;
   std::unique_ptr<statechart::StateMachine> machine_ = make_machine();
@@ -1212,11 +1279,12 @@ TEST_F(CheckpointStoreTest, RestoreLatestGoodContinuesBitIdentically) {
   EXPECT_EQ(store.stats().checkpoints, 5u);
   EXPECT_EQ(store.stats().fulls, 2u) << "full cadence: seq 1 and 4";
   EXPECT_EQ(store.stats().deltas, 3u);
-  EXPECT_EQ(snapshot_files(dir_).size(), 5u);
+  EXPECT_EQ(seqs_of(store.rungs()), (std::vector<std::uint64_t>{5, 4, 3, 2, 1}));
 
   // A fresh store instance recovers purely from the on-disk ladder.
   FullRig restored(*machine_);
   CheckpointStore recovery(config());
+  EXPECT_EQ(seqs_of(recovery.rungs()), seqs_of(store.rungs()));
   support::DiagnosticSink sink;
   ASSERT_TRUE(recovery.restore_latest_good(restored.targets(), sink)) << sink.str();
   EXPECT_EQ(recovery.stats().restored_seq, 5u);
@@ -1234,13 +1302,10 @@ TEST_F(CheckpointStoreTest, LadderStepsPastCorruptNewest) {
   CheckpointStore store(config());
   write_checkpoints(source, store, 5);
 
-  // Tear the newest checkpoint in half, as a crash mid-write would.
-  const std::vector<std::filesystem::path> files = snapshot_files(dir_);
-  ASSERT_EQ(files.size(), 5u);
-  std::string bytes;
-  ASSERT_TRUE(read_file(files.back(), bytes));
-  bytes.resize(bytes.size() / 2);
-  ASSERT_TRUE(write_file(files.back(), bytes));
+  // Tear the newest checkpoint in half, as a crash mid-append would.
+  const std::vector<CheckpointStore::RungLocation> rungs = store.rungs();
+  ASSERT_EQ(rungs.size(), 5u);
+  tear(rungs.front());
 
   FullRig restored(*machine_);
   CheckpointStore recovery(config());
@@ -1249,7 +1314,8 @@ TEST_F(CheckpointStoreTest, LadderStepsPastCorruptNewest) {
   EXPECT_EQ(recovery.stats().quarantines, 1u);
   EXPECT_EQ(recovery.stats().restored_seq, 4u) << "one rung down the ladder";
   ASSERT_EQ(recovery.quarantined().size(), 1u);
-  EXPECT_EQ(recovery.quarantined().front().path, files.back());
+  EXPECT_EQ(recovery.quarantined().front().seq, 5u);
+  EXPECT_EQ(recovery.quarantined().front().segment, rungs.front().segment);
 
   restored.run();
   expect_same_outcome(restored, reference, reference_log);
@@ -1260,11 +1326,9 @@ TEST_F(CheckpointStoreTest, VersionSkewedCheckpointIsQuarantined) {
   CheckpointStore store(config());
   write_checkpoints(source, store, 5);
 
-  const std::vector<std::filesystem::path> files = snapshot_files(dir_);
-  std::string bytes;
-  ASSERT_TRUE(read_file(files.back(), bytes));
-  patch_version(bytes, static_cast<std::uint32_t>(kSnapshotVersion) + 1);
-  ASSERT_TRUE(write_file(files.back(), bytes));
+  edit_rung(store.rungs().front(), [](std::string& bytes) {
+    patch_version(bytes, static_cast<std::uint32_t>(kSnapshotVersion) + 1);
+  });
 
   FullRig restored(*machine_);
   CheckpointStore recovery(config());
@@ -1283,11 +1347,8 @@ TEST_F(CheckpointStoreTest, ExhaustedLadderReportsAndFailsHealth) {
   write_checkpoints(source, store, 5);
 
   // Flip a bit in the middle of every checkpoint: nothing is restorable.
-  for (const std::filesystem::path& path : snapshot_files(dir_)) {
-    std::string bytes;
-    ASSERT_TRUE(read_file(path, bytes));
-    bytes[bytes.size() / 2] ^= 0x10;
-    ASSERT_TRUE(write_file(path, bytes));
+  for (const CheckpointStore::RungLocation& rung : store.rungs()) {
+    edit_rung(rung, [](std::string& bytes) { bytes[bytes.size() / 2] ^= 0x10; });
   }
 
   FullRig restored(*machine_);
@@ -1297,9 +1358,10 @@ TEST_F(CheckpointStoreTest, ExhaustedLadderReportsAndFailsHealth) {
   support::DiagnosticSink sink;
   EXPECT_FALSE(recovery.restore_latest_good(restored.targets(), sink));
   EXPECT_NE(sink.str().find("no restorable checkpoint"), std::string::npos) << sink.str();
-  EXPECT_EQ(recovery.quarantined().size(), 5u) << "every file steps aside with a reason";
+  EXPECT_EQ(recovery.quarantined().size(), 5u) << "every rung steps aside with a reason";
   EXPECT_EQ(health.aggregate(), sim::UnitHealth::kFailed);
-  EXPECT_TRUE(snapshot_files(dir_).empty()) << "quarantined files leave the scan set";
+  EXPECT_TRUE(recovery.rungs().empty()) << "quarantined rungs leave the ladder";
+  EXPECT_TRUE(CheckpointStore(config()).rungs().empty()) << "tombstones are on disk";
   // The victim rig was never touched: it can still run from scratch.
   restored.run();
   EXPECT_EQ(restored.ticks, FullRig::kTicks);
@@ -1316,13 +1378,17 @@ TEST_F(CheckpointStoreTest, RotationPrunesOldChainsAndKeepsBases) {
 
   // Fulls at seq 1,3,5,7,9,11; retaining two keeps {9,11}, so only seq
   // 9..12 survive and every surviving delta still has its base on disk.
-  const std::vector<std::filesystem::path> files = snapshot_files(dir_);
-  EXPECT_EQ(files.size(), 4u);
   EXPECT_EQ(store.stats().pruned, 8u);
-  EXPECT_EQ(files.front().filename().string(), "ckpt-00000009.usnap");
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    files.push_back(entry.path().filename().string());
+  }
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, (std::vector<std::string>{"ckpt-00000009.useg", "ckpt-00000011.useg"}));
 
   FullRig restored(*machine_);
   CheckpointStore recovery(config(2, 2));
+  EXPECT_EQ(seqs_of(recovery.rungs()), (std::vector<std::uint64_t>{12, 11, 10, 9}));
   support::DiagnosticSink sink;
   ASSERT_TRUE(recovery.restore_latest_good(restored.targets(), sink)) << sink.str();
   EXPECT_EQ(recovery.stats().restored_seq, 12u);
@@ -1361,41 +1427,16 @@ TEST_F(CheckpointStoreTest, InjectedWriteFaultsRecoverViaLadder) {
 }
 
 TEST_F(CheckpointStoreTest, FailedWriteStartsTheNextCheckpointFromAFull) {
-  FullRig reference(*machine_);
-  reference.run();
-  const std::vector<sim::RecordedEvent> reference_log = reference.recorder.log();
-
-  // A long full interval: only the failed write can make the next one full.
-  FullRig source(*machine_);
-  CheckpointStore store(config(/*full_interval=*/10));
-  write_checkpoints(source, store, 2);
-  ASSERT_EQ(store.stats().deltas, 1u);
-
-  // The directory vanishes, so the write fails and no file lands.
-  std::filesystem::remove_all(dir_);
-  source.run(kMidRunPs + 20000 * 2);
-  CheckpointStore::WriteResult failed;
-  support::DiagnosticSink failed_sink;
-  EXPECT_FALSE(store.checkpoint(source.targets(), failed, failed_sink));
-  EXPECT_NE(failed_sink.str().find("cannot write"), std::string::npos) << failed_sink.str();
-
-  // With the directory back, the next checkpoint must not chain to the
-  // file that never landed: it starts a new base.
-  std::filesystem::create_directories(dir_);
-  source.run(kMidRunPs + 20000 * 3);
-  CheckpointStore::WriteResult next;
-  support::DiagnosticSink sink;
-  ASSERT_TRUE(store.checkpoint(source.targets(), next, sink)) << sink.str();
-  EXPECT_FALSE(next.delta);
-  ASSERT_EQ(snapshot_files(dir_).size(), 1u);
-
-  FullRig restored(*machine_);
-  CheckpointStore recovery(config(10));
-  ASSERT_TRUE(recovery.restore_latest_good(restored.targets(), sink)) << sink.str();
-  EXPECT_EQ(recovery.stats().restored_seq, next.seq);
-  EXPECT_EQ(recovery.stats().quarantines, 0u);
-  restored.run();
-  expect_same_outcome(restored, reference, reference_log);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    fail_one_write_then_recover();
+    ::_exit(::testing::Test::HasFailure() ? 1 : 0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status)) << "child status " << status;
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "the child's failures are printed above";
 }
 
 TEST_F(CheckpointStoreTest, StrayFilesAreIgnored) {
@@ -1403,19 +1444,252 @@ TEST_F(CheckpointStoreTest, StrayFilesAreIgnored) {
   CheckpointStore store(config());
   write_checkpoints(source, store, 3);
 
-  // Leftover tmp files, foreign prefixes and malformed names must neither
-  // crash the scan nor shadow real checkpoints.
+  // A store with another prefix shares the directory, with newer seqs.
+  CheckpointStoreConfig other_config = config();
+  other_config.prefix = "other";
+  CheckpointStore other(other_config);
+  write_checkpoints(source, other, 5, /*first=*/3);
+
+  // Files of the old one-file-per-rung layout, malformed names, a junk
+  // segment and a directory with a segment's name must neither crash the
+  // index nor shadow real checkpoints.
   ASSERT_TRUE(write_file(dir_ / "ckpt-00000099.usnap.tmp", "half-written junk"));
-  ASSERT_TRUE(write_file(dir_ / "ckpt-0000000x.usnap", "bad digits"));
-  ASSERT_TRUE(write_file(dir_ / "other-00000001.usnap", "foreign prefix"));
+  ASSERT_TRUE(write_file(dir_ / "ckpt-00000098.usnap", "old layout"));
+  ASSERT_TRUE(write_file(dir_ / "ckpt-0000000x.useg", "bad digits"));
+  ASSERT_TRUE(write_file(dir_ / "ckpt-00000042.useg", "no record header checks out"));
   ASSERT_TRUE(write_file(dir_ / "notes.txt", "not a checkpoint"));
+  std::filesystem::create_directory(dir_ / "ckpt-00000077.useg");
 
   FullRig restored(*machine_);
   CheckpointStore recovery(config());
+  EXPECT_EQ(seqs_of(recovery.rungs()), (std::vector<std::uint64_t>{3, 2, 1}));
   support::DiagnosticSink sink;
   ASSERT_TRUE(recovery.restore_latest_good(restored.targets(), sink)) << sink.str();
   EXPECT_EQ(recovery.stats().restored_seq, 3u);
   EXPECT_EQ(recovery.stats().quarantines, 0u);
+  EXPECT_EQ(CheckpointStore(other_config).newest_on_disk(), 5u);
+}
+
+TEST_F(CheckpointStoreTest, CutLastRecordAtEveryOffsetRestoresThePreviousRung) {
+  FullRig source(*machine_);
+  CheckpointStore::RungLocation last;
+  {
+    CheckpointStore store(config());
+    write_checkpoints(source, store, 5);
+    last = store.rungs().front();
+  }
+  ASSERT_EQ(last.seq, 5u);
+  std::vector<std::pair<std::filesystem::path, std::string>> pristine;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    pristine.emplace_back(entry.path(), "");
+    ASSERT_TRUE(read_file(entry.path(), pristine.back().second));
+  }
+  const std::uint64_t record_start = last.offset - CheckpointStore::kRecordHeaderBytes;
+  const std::uint64_t record_end = last.offset + last.length;
+
+  for (std::uint64_t cut = record_start; cut < record_end; ++cut) {
+    SCOPED_TRACE("cut at byte " + std::to_string(cut));
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    for (const auto& [path, bytes] : pristine) ASSERT_TRUE(write_file(path, bytes));
+    std::filesystem::resize_file(last.segment, cut);
+
+    // Once the header has landed the cut rung is seen, and quarantined.
+    const bool header_landed = cut >= last.offset;
+    FullRig restored(*machine_);
+    CheckpointStore recovery(config());
+    support::DiagnosticSink sink;
+    ASSERT_TRUE(recovery.restore_latest_good(restored.targets(), sink)) << sink.str();
+    EXPECT_EQ(recovery.stats().restored_seq, 4u);
+    EXPECT_EQ(recovery.stats().quarantines, header_landed ? 1u : 0u);
+
+    // Appends after the torn tail stay framed: the next reader finds the
+    // resumed chain's newest delta and restores it without a quarantine.
+    recovery.resume_numbering();
+    CheckpointStore::WriteResult full;
+    CheckpointStore::WriteResult delta;
+    restored.run(kMidRunPs + 20000 * 5);
+    ASSERT_TRUE(recovery.checkpoint(restored.targets(), full, sink)) << sink.str();
+    restored.run(kMidRunPs + 20000 * 6);
+    ASSERT_TRUE(recovery.checkpoint(restored.targets(), delta, sink)) << sink.str();
+    EXPECT_EQ(full.seq, header_landed ? 6u : 5u);
+    ASSERT_TRUE(delta.delta);
+
+    FullRig again(*machine_);
+    CheckpointStore reader(config());
+    ASSERT_TRUE(reader.restore_latest_good(again.targets(), sink)) << sink.str();
+    EXPECT_EQ(reader.stats().restored_seq, delta.seq);
+    EXPECT_EQ(reader.stats().quarantines, 0u);
+  }
+}
+
+TEST_F(CheckpointStoreTest, SigkilledWriterLeavesARestorableOrExhaustedLadder) {
+  for (int round = 0; round < 8; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    std::filesystem::remove_all(dir_);
+    int ready[2];
+    ASSERT_EQ(::pipe(ready), 0);
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+      // Appends (and rotates) as fast as it can until it is killed.
+      ::close(ready[0]);
+      FullRig rig(*machine_);
+      CheckpointStore store(config(3, 2));
+      support::DiagnosticSink sink;
+      for (int k = 0;; ++k) {
+        rig.run(kMidRunPs + 10000 * static_cast<std::uint64_t>(k % 30));
+        CheckpointStore::WriteResult result;
+        if (!store.checkpoint(rig.targets(), result, sink)) ::_exit(2);
+        if (k == round) {
+          const char go = 1;
+          if (::write(ready[1], &go, 1) != 1) ::_exit(3);
+        }
+      }
+    }
+    ::close(ready[1]);
+    char go = 0;
+    ASSERT_EQ(::read(ready[0], &go, 1), 1);
+    ::close(ready[0]);
+    std::this_thread::sleep_for(std::chrono::microseconds(97 * round));
+    ASSERT_EQ(::kill(child, SIGKILL), 0);
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFSIGNALED(status)) << "child status " << status;
+
+    FullRig restored(*machine_);
+    CheckpointStore recovery(config(3, 2));
+    support::DiagnosticSink sink;
+    if (recovery.restore_latest_good(restored.targets(), sink)) {
+      EXPECT_GE(recovery.stats().restored_seq, 1u);
+    } else {
+      EXPECT_NE(sink.str().find("no restorable checkpoint"), std::string::npos) << sink.str();
+    }
+  }
+}
+
+TEST_F(CheckpointStoreTest, TombstoneSurvivesAReopen) {
+  FullRig source(*machine_);
+  CheckpointStore store(config());
+  write_checkpoints(source, store, 5);
+  tear(store.rungs().front());
+  {
+    FullRig restored(*machine_);
+    CheckpointStore first(config());
+    support::DiagnosticSink sink;
+    ASSERT_TRUE(first.restore_latest_good(restored.targets(), sink)) << sink.str();
+    EXPECT_EQ(first.stats().quarantines, 1u);
+    EXPECT_EQ(first.stats().restored_seq, 4u);
+  }
+
+  FullRig restored(*machine_);
+  CheckpointStore second(config());
+  EXPECT_EQ(second.newest_on_disk(), 4u);
+  EXPECT_EQ(seqs_of(second.rungs()), (std::vector<std::uint64_t>{4, 3, 2, 1}));
+  support::DiagnosticSink sink;
+  ASSERT_TRUE(second.restore_latest_good(restored.targets(), sink)) << sink.str();
+  EXPECT_EQ(second.stats().restored_seq, 4u);
+  EXPECT_EQ(second.stats().quarantines, 0u) << "a tombstone is not revalidated";
+  EXPECT_TRUE(second.quarantined().empty());
+  EXPECT_EQ(sink.str().find("quarantined"), std::string::npos) << sink.str();
+}
+
+TEST_F(CheckpointStoreTest, QuarantinedSeqIsNeverReused) {
+  FullRig source(*machine_);
+  {
+    CheckpointStore store(config());
+    write_checkpoints(source, store, 5);
+    tear(store.rungs().front());
+  }
+  FullRig restored(*machine_);
+  CheckpointStore recovery(config());
+  support::DiagnosticSink sink;
+  ASSERT_TRUE(recovery.restore_latest_good(restored.targets(), sink)) << sink.str();
+  ASSERT_EQ(recovery.stats().restored_seq, 4u);
+  recovery.resume_numbering();
+  restored.run(kMidRunPs + 20000 * 5);
+  CheckpointStore::WriteResult next;
+  ASSERT_TRUE(recovery.checkpoint(restored.targets(), next, sink)) << sink.str();
+  EXPECT_EQ(next.seq, 6u) << "numbering continues above the quarantined rung 5";
+  ASSERT_EQ(recovery.quarantined().size(), 1u);
+  EXPECT_EQ(recovery.quarantined().front().seq, 5u);
+}
+
+TEST_F(CheckpointStoreTest, RotationNeverOrphansADeltaUnderWriteFaults) {
+  for (const unsigned full_interval : {1u, 2u, 3u, 5u, 8u}) {
+    for (const unsigned keep_fulls : {1u, 2u, 3u}) {
+      SCOPED_TRACE("full_interval " + std::to_string(full_interval) + ", keep_fulls " +
+                   std::to_string(keep_fulls));
+      std::filesystem::remove_all(dir_);
+      FullRig source(*machine_);
+      CheckpointStore store(config(full_interval, keep_fulls));
+      sim::FaultPlan corruption(/*seed=*/full_interval * 16 + keep_fulls);
+      sim::FaultPlan::SiteConfig faults;
+      faults.error_rate = 0.15;
+      faults.drop_rate = 0.15;
+      faults.bit_flip_rate = 0.15;
+      corruption.configure(sim::FaultSite::kCheckpoint, faults);
+      store.install_fault_plan(&corruption);
+
+      struct Written {
+        std::uint64_t seq = 0;
+        bool delta = false;
+        bool lost = false;
+        bool intact = false;
+      };
+      std::vector<Written> log;
+      for (int k = 0; k < 24; ++k) {
+        source.run(kMidRunPs + 10000 * static_cast<std::uint64_t>(k));
+        CheckpointStore::WriteResult result;
+        support::DiagnosticSink sink;
+        ASSERT_TRUE(store.checkpoint(source.targets(), result, sink)) << sink.str();
+        log.push_back({result.seq, result.delta, result.lost,
+                       !result.torn && !result.lost && !result.flipped});
+      }
+
+      // Rotation keeps every landed rung from the keep_fulls-th newest
+      // landed full on, and deletes every rung below it.
+      std::vector<std::uint64_t> landed_fulls;
+      for (const Written& written : log) {
+        if (!written.delta && !written.lost) landed_fulls.push_back(written.seq);
+      }
+      const std::uint64_t keep_from = landed_fulls.size() > keep_fulls
+                                          ? landed_fulls[landed_fulls.size() - keep_fulls]
+                                          : 0;
+      std::vector<std::uint64_t> expected;
+      for (auto it = log.rbegin(); it != log.rend(); ++it) {
+        if (!it->lost && it->seq >= keep_from) expected.push_back(it->seq);
+      }
+      CheckpointStore reader(config(full_interval, keep_fulls));
+      const std::vector<std::uint64_t> present = seqs_of(reader.rungs());
+      EXPECT_EQ(present, expected);
+
+      // No surviving delta lost a landed predecessor of its chain, and the
+      // ladder restores the newest rung whose whole chain is intact.
+      std::uint64_t newest_intact = 0;
+      for (std::size_t i = 0; i < log.size(); ++i) {
+        if (log[i].lost || log[i].seq < keep_from) continue;
+        bool intact = true;
+        for (std::size_t j = i;; --j) {
+          intact = intact && log[j].intact;
+          if (!log[j].lost) {
+            EXPECT_NE(std::find(present.begin(), present.end(), log[j].seq), present.end())
+                << "rung " << log[i].seq << " lost predecessor " << log[j].seq;
+          }
+          if (!log[j].delta || j == 0) break;
+        }
+        if (intact) newest_intact = log[i].seq;
+      }
+      FullRig restored(*machine_);
+      support::DiagnosticSink sink;
+      if (newest_intact == 0) {
+        EXPECT_FALSE(reader.restore_latest_good(restored.targets(), sink));
+      } else {
+        ASSERT_TRUE(reader.restore_latest_good(restored.targets(), sink)) << sink.str();
+        EXPECT_EQ(reader.stats().restored_seq, newest_intact);
+      }
+    }
+  }
 }
 
 }  // namespace

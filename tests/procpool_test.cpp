@@ -7,7 +7,8 @@
 // nonzero exit, heartbeat silence via SIGSTOP, per-seed watchdog timeout,
 // poisoned-seed quarantine), determinism parity between a chaos-killed
 // process fleet and an in-process jobs=1 run, and the CheckpointStore's
-// concurrent-worker hygiene (pid-scoped tmp names, stray-tmp sweep).
+// segments across processes (dropped records, torn tails, opens that only
+// read).
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -492,7 +493,7 @@ TEST(ProcPool, TemplateSweepAssignsByIndexInBothIsolationModes) {
             FleetReport::aggregate(process_outcomes).fingerprint());
 }
 
-// --- CheckpointStore concurrent-worker hygiene ---------------------------------
+// --- CheckpointStore segments across processes ---------------------------------
 
 class TempDir {
  public:
@@ -513,100 +514,102 @@ class TempDir {
   std::filesystem::path root_;
 };
 
-TEST(CheckpointStoreProcess, TmpFilesArePidScoped) {
+replay::CheckpointStoreConfig pool_config(const std::filesystem::path& dir) {
+  replay::CheckpointStoreConfig config;
+  config.directory = dir;
+  config.prefix = "pool";
+  return config;
+}
+
+TEST(CheckpointStoreProcess, DroppedRecordNeverSurfaces) {
   TempDir dir;
   sim::Kernel kernel;
   replay::SnapshotTargets targets;
   targets.kernel = &kernel;
-  replay::CheckpointStoreConfig config;
-  config.directory = dir.path();
-  config.prefix = "pool";
-  replay::CheckpointStore store(config);
-  // A drop-rate-1 plan models a crash before the rename on every write:
-  // the tmp file is written but never lands.
+  replay::CheckpointStore store(pool_config(dir.path()));
+  replay::CheckpointStore::WriteResult result;
+  support::DiagnosticSink sink;
+  ASSERT_TRUE(store.checkpoint(targets, result, sink)) << sink.str();
+  // A drop-rate-1 plan models a crash before the commit on every later
+  // write: each record is written at the tail but never committed.
   sim::FaultPlan plan(7);
   sim::FaultPlan::SiteConfig site;
   site.drop_rate = 1.0;
   plan.configure(sim::FaultSite::kCheckpoint, site);
   store.install_fault_plan(&plan);
-  replay::CheckpointStore::WriteResult result;
-  support::DiagnosticSink sink;
-  ASSERT_TRUE(store.checkpoint(targets, result, sink)) << sink.str();
-  EXPECT_TRUE(result.lost);
-  const std::string marker = "." + std::to_string(::getpid()) + ".tmp";
-  bool found = false;
-  for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() > marker.size() &&
-        name.compare(name.size() - marker.size(), marker.size(), marker) == 0) {
-      found = true;
-    }
+  for (int k = 0; k < 3; ++k) {
+    ASSERT_TRUE(store.checkpoint(targets, result, sink)) << sink.str();
+    EXPECT_TRUE(result.lost);
   }
-  EXPECT_TRUE(found) << "stray tmp must carry the writer pid in its name";
+  EXPECT_EQ(store.newest_on_disk(), 1u) << "this process never sees a dropped record";
+  const replay::CheckpointStore::RungLocation base = store.rungs().front();
+  EXPECT_GT(std::filesystem::file_size(base.segment), base.offset + base.length)
+      << "the dropped records were written, each over the last";
+
+  // Neither does a later one, and its ladder walk has nothing to step past.
+  replay::CheckpointStore reader(pool_config(dir.path()));
+  EXPECT_EQ(reader.newest_on_disk(), 1u);
+  sim::Kernel fresh;
+  replay::SnapshotTargets restore_targets;
+  restore_targets.kernel = &fresh;
+  support::DiagnosticSink restore_sink;
+  ASSERT_TRUE(reader.restore_latest_good(restore_targets, restore_sink)) << restore_sink.str();
+  EXPECT_EQ(reader.stats().restored_seq, 1u);
+  EXPECT_EQ(reader.stats().quarantines, 0u);
 }
 
-TEST(CheckpointStoreProcess, OpenSweepsStrayTmpsButNotForeignFiles) {
+TEST(CheckpointStoreProcess, OpenLeavesForeignAndLegacyFilesAlone) {
   TempDir dir;
-  // 999999999 exceeds the Linux pid_max ceiling, so the embedded writer pid
-  // is guaranteed dead and the tmp reads as a stray.
-  const std::filesystem::path stray = dir.path() / "pool-00000001.usnap.999999999.tmp";
-  const std::filesystem::path legacy = dir.path() / "pool-00000002.usnap.tmp";
-  const std::filesystem::path foreign = dir.path() / "other-00000001.usnap.tmp";
-  std::ofstream(stray) << "half a checkpoint";
-  std::ofstream(legacy) << "older tmp convention";
+  // Tmp files of the old one-file-per-rung layout and another prefix's
+  // segment: a store's open only reads, so all of them survive it.
+  const std::filesystem::path legacy = dir.path() / "pool-00000001.usnap.999999999.tmp";
+  const std::filesystem::path foreign = dir.path() / "other-00000001.useg";
+  std::ofstream(legacy) << "half a checkpoint";
   std::ofstream(foreign) << "someone else's prefix";
-  replay::CheckpointStoreConfig config;
-  config.directory = dir.path();
-  config.prefix = "pool";
-  replay::CheckpointStore store(config);
-  EXPECT_FALSE(std::filesystem::exists(stray));
-  EXPECT_FALSE(std::filesystem::exists(legacy));
+  replay::CheckpointStore store(pool_config(dir.path()));
+  EXPECT_TRUE(std::filesystem::exists(legacy));
   EXPECT_TRUE(std::filesystem::exists(foreign))
       << "a different prefix belongs to a different store";
-  EXPECT_EQ(store.stats().tmp_swept, 2u);
+  EXPECT_EQ(store.newest_on_disk(), 0u);
+  EXPECT_TRUE(store.rungs().empty());
 }
 
-TEST(CheckpointStoreProcess, SweepSparesLiveWritersInFlightTmp) {
-  // The sweep must not race a still-running concurrent writer: a tmp whose
-  // embedded pid is alive is an in-flight checkpoint, and deleting it would
-  // fail that writer's rename — the exact predecessor-teardown race the
-  // pid-scoped tmp names were introduced to tolerate. Our own pid stands in
-  // for the live sibling.
-  TempDir dir;
-  const std::filesystem::path inflight =
-      dir.path() /
-      ("pool-00000001.usnap." + std::to_string(::getpid()) + ".tmp");
-  const std::filesystem::path orphaned = dir.path() / "pool-00000002.usnap.999999999.tmp";
-  std::ofstream(inflight) << "concurrent writer, mid-checkpoint";
-  std::ofstream(orphaned) << "writer long dead";
-  replay::CheckpointStoreConfig config;
-  config.directory = dir.path();
-  config.prefix = "pool";
-  replay::CheckpointStore store(config);
-  EXPECT_TRUE(std::filesystem::exists(inflight))
-      << "a live writer's in-flight tmp must survive the sweep";
-  EXPECT_FALSE(std::filesystem::exists(orphaned));
-  EXPECT_EQ(store.stats().tmp_swept, 1u);
-}
-
-TEST(CheckpointStoreProcess, SweptDirectoryStillRestores) {
+TEST(CheckpointStoreProcess, OpenNeverDisturbsALiveWritersSegment) {
+  // A successor can open the directory while its predecessor is still being
+  // torn down: the open must not touch the live writer's segment, whose
+  // later appends then land where a later reader finds them.
   TempDir dir;
   sim::Kernel kernel;
   replay::SnapshotTargets targets;
   targets.kernel = &kernel;
-  replay::CheckpointStoreConfig config;
-  config.directory = dir.path();
-  config.prefix = "pool";
+  replay::CheckpointStore writer(pool_config(dir.path()));
+  replay::CheckpointStore::WriteResult result;
   support::DiagnosticSink sink;
+  for (int k = 0; k < 2; ++k) ASSERT_TRUE(writer.checkpoint(targets, result, sink));
+  replay::CheckpointStore successor(pool_config(dir.path()));
+  EXPECT_EQ(successor.newest_on_disk(), 2u);
+  for (int k = 0; k < 2; ++k) ASSERT_TRUE(writer.checkpoint(targets, result, sink));
+  replay::CheckpointStore reader(pool_config(dir.path()));
+  EXPECT_EQ(reader.newest_on_disk(), 4u);
+  EXPECT_EQ(reader.rungs().size(), 4u);
+}
+
+TEST(CheckpointStoreProcess, TornTailStillRestores) {
+  TempDir dir;
+  sim::Kernel kernel;
+  replay::SnapshotTargets targets;
+  targets.kernel = &kernel;
+  support::DiagnosticSink sink;
+  std::filesystem::path segment;
   {
-    replay::CheckpointStore writer(config);
+    replay::CheckpointStore writer(pool_config(dir.path()));
     replay::CheckpointStore::WriteResult result;
     ASSERT_TRUE(writer.checkpoint(targets, result, sink)) << sink.str();
-    // Simulate a successor's in-flight write that died mid-stream.
-    std::ofstream(dir.path() / "pool-00000002.usnap.999999999.tmp") << "torn";
+    segment = writer.rungs().front().segment;
   }
-  replay::CheckpointStore reader(config);
-  EXPECT_EQ(reader.stats().tmp_swept, 1u);
+  // A writer killed mid-append leaves part of a record header at the tail.
+  std::ofstream(segment, std::ios::binary | std::ios::app) << "torn";
+  replay::CheckpointStore reader(pool_config(dir.path()));
   EXPECT_EQ(reader.newest_on_disk(), 1u);
   sim::Kernel fresh;
   replay::SnapshotTargets restore_targets;

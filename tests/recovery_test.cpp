@@ -470,7 +470,10 @@ TEST_F(RecoveryTest, RootCauseProbesNeverWriteLadderRungs) {
   // restores now land on the ~400 ns rung, behind the coordinator's clock.
   const std::uint64_t newest = coordinator.stats().last_checkpoint_seq;
   ASSERT_EQ(newest, 5u);
-  ASSERT_TRUE(std::filesystem::remove(dir_ / "ckpt-00000005.usnap"));
+  const CheckpointStore::RungLocation dropped = store.rungs().front();
+  ASSERT_EQ(dropped.seq, newest);
+  std::filesystem::resize_file(dropped.segment,
+                               dropped.offset - CheckpointStore::kRecordHeaderBytes);
 
   const std::vector<sim::RecordedEvent> expected = rig.recorder.log();
   const std::uint64_t rungs_before = store.stats().checkpoints;
