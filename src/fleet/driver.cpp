@@ -29,6 +29,30 @@ bool RigOutcome::deterministic_equal(const RigOutcome& other) const {
          support::deterministic_equal(kernel, other.kernel);
 }
 
+RigOutcome run_rig(const RigJob& job, const FleetDriver::RigRunner& runner) {
+  RigOutcome out;
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    out = runner(job);
+  } catch (const std::exception& error) {
+    out = RigOutcome{};
+    out.failure = std::string("uncaught exception: ") + error.what();
+  } catch (...) {
+    out = RigOutcome{};
+    out.failure = "uncaught exception (non-standard)";
+  }
+  out.seed = job.seed;
+  out.fault_template = job.fault_template;
+  out.attempts = job.attempt + 1;
+  if (out.wall_ns == 0) {
+    out.wall_ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+  }
+  return out;
+}
+
 FleetDriver::FleetDriver(FleetConfig config) : config_(config) {}
 
 unsigned FleetDriver::resolve_jobs(unsigned requested) {
@@ -98,27 +122,7 @@ std::vector<RigOutcome> FleetDriver::run(const std::vector<std::uint64_t>& seeds
     job.worker = worker;
     job.fault_template = static_cast<std::uint32_t>(index % templates);
     RigOutcome& slot = outcomes[index];
-    const auto start = std::chrono::steady_clock::now();
-    try {
-      slot = runner(job);
-    } catch (const std::exception& error) {
-      slot = RigOutcome{};
-      slot.ok = false;
-      slot.failure = std::string("uncaught exception: ") + error.what();
-    } catch (...) {
-      slot = RigOutcome{};
-      slot.ok = false;
-      slot.failure = "uncaught exception (non-standard)";
-    }
-    slot.seed = job.seed;
-    slot.fault_template = job.fault_template;
-    if (slot.attempts == 0) slot.attempts = 1;
-    if (slot.wall_ns == 0) {
-      slot.wall_ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - start)
-              .count());
-    }
+    slot = run_rig(job, runner);
     ++stats_.rigs_per_worker[worker];
     const std::uint64_t completed = done.fetch_add(1, std::memory_order_relaxed) + 1;
     if (progress_) {

@@ -149,4 +149,11 @@ class FleetDriver {
   FleetStats stats_;
 };
 
+/// Runs one rig the same way on every path (worker thread, forked worker,
+/// inline fallback): an exception becomes a failed outcome, never a crash,
+/// and the outcome carries its dispatch provenance — seed, fault_template
+/// and attempts = job.attempt + 1 — plus the rig's wall time unless the
+/// runner set one.
+RigOutcome run_rig(const RigJob& job, const FleetDriver::RigRunner& runner);
+
 }  // namespace umlsoc::fleet

@@ -12,7 +12,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <exception>
 #include <mutex>
 #include <random>
 #include <string>
@@ -43,39 +42,11 @@ void set_nonblocking(int fd) {
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-/// Runs one grant exactly like FleetDriver's in-process run_one: exceptions
-/// become failed outcomes, never process exits, and the outcome carries its
-/// dispatch provenance (attempts, fault_template) stamped authoritatively.
+/// Runs one grant through run_rig, exactly like a worker thread runs a rig.
 RigOutcome execute_grant(const Grant& grant, unsigned worker,
                          const FleetDriver::RigRunner& runner) {
-  RigJob job;
-  job.index = grant.index;
-  job.seed = grant.seed;
-  job.worker = worker;
-  job.attempt = grant.attempt;
-  job.fault_template = grant.fault_template;
-  RigOutcome out;
-  const auto start = Clock::now();
-  try {
-    out = runner(job);
-  } catch (const std::exception& error) {
-    out = RigOutcome{};
-    out.ok = false;
-    out.failure = std::string("uncaught exception: ") + error.what();
-  } catch (...) {
-    out = RigOutcome{};
-    out.ok = false;
-    out.failure = "uncaught exception (non-standard)";
-  }
-  out.seed = grant.seed;
-  out.fault_template = grant.fault_template;
-  out.attempts = grant.attempt + 1;
-  if (out.wall_ns == 0) {
-    out.wall_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - start)
-            .count());
-  }
-  return out;
+  return run_rig({grant.index, grant.seed, worker, grant.attempt, grant.fault_template},
+                 runner);
 }
 
 /// Worker-process body after fork. Speaks the handoff protocol over the two

@@ -2,10 +2,10 @@
 // substitute. Devices register address windows; masters issue reads/writes
 // that complete (callbacks) after the bus latency.
 //
-// Completions carry a BusStatus, which resolves the classic all-ones
-// ambiguity of the legacy value-only callbacks: a device can legitimately
-// return 0xFFFF'FFFF'FFFF'FFFF, and only the status distinguishes that from
-// a decode error. The old callbacks remain as shims.
+// Every completion carries a BusStatus, which resolves the classic all-ones
+// ambiguity of a value-only callback: a device can legitimately return
+// 0xFFFF'FFFF'FFFF'FFFF, and only the status distinguishes that from a
+// decode error.
 //
 // Resilience: an installed sim::FaultPlan is consulted at every issue
 // (sites kBusRead/kBusWrite) and can inject decode errors, extra latency,

@@ -161,6 +161,32 @@ TEST(FleetDriver, ExceptionIsContainedToItsRig) {
   }
 }
 
+TEST(FleetDriver, RunRigStampsDispatchProvenanceOverTheRunner) {
+  RigJob job;
+  job.seed = 42;
+  job.attempt = 2;
+  job.fault_template = 3;
+  const RigOutcome out = run_rig(job, [](const RigJob&) {
+    RigOutcome outcome;
+    outcome.ok = true;
+    outcome.seed = 7;
+    outcome.attempts = 9;
+    outcome.wall_ns = 5;
+    return outcome;
+  });
+  EXPECT_TRUE(out.ok);
+  EXPECT_EQ(out.seed, 42u);
+  EXPECT_EQ(out.fault_template, 3u);
+  EXPECT_EQ(out.attempts, 3u);
+  EXPECT_EQ(out.wall_ns, 5u) << "a runner's own wall time is kept";
+
+  const RigOutcome thrown = run_rig(job, [](const RigJob&) -> RigOutcome { throw 1; });
+  EXPECT_FALSE(thrown.ok);
+  EXPECT_EQ(thrown.failure, "uncaught exception (non-standard)");
+  EXPECT_EQ(thrown.attempts, 3u);
+  EXPECT_GT(thrown.wall_ns, 0u);
+}
+
 TEST(FleetDriver, ProgressIsSerializedAndCountsToTotal) {
   FleetConfig config;
   config.jobs = 8;
