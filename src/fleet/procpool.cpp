@@ -8,8 +8,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <mutex>
@@ -66,14 +66,20 @@ RigOutcome execute_grant(const Grant& grant, unsigned worker,
   };
   (void)send(FrameType::kHello, encode_hello(static_cast<std::uint64_t>(::getpid())));
 
-  std::atomic<bool> stop{false};
+  // The heartbeat waits on `stop` rather than sleeping, so shutdown wakes it
+  // at once instead of after up to one whole interval.
+  std::mutex stop_mutex;
+  std::condition_variable stop_changed;
+  bool stop = false;
   std::thread heartbeat([&] {
     const auto interval = std::chrono::milliseconds(
         heartbeat_interval_ms == 0 ? 1 : heartbeat_interval_ms);
-    while (!stop.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(interval);
-      if (stop.load(std::memory_order_relaxed)) break;
-      if (!send(FrameType::kHeartbeat, {})) break;
+    std::unique_lock<std::mutex> lock(stop_mutex);
+    while (!stop_changed.wait_for(lock, interval, [&] { return stop; })) {
+      lock.unlock();
+      const bool sent = send(FrameType::kHeartbeat, {});
+      lock.lock();
+      if (!sent) break;
     }
   });
 
@@ -109,7 +115,11 @@ RigOutcome execute_grant(const Grant& grant, unsigned worker,
     }
     if (reader.corrupt()) break;
   }
-  stop.store(true, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(stop_mutex);
+    stop = true;
+  }
+  stop_changed.notify_one();
   heartbeat.join();
   // _exit, not exit: no atexit handlers, no stdio flush — the child shares
   // the parent's pre-fork buffers and must not flush them a second time.

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstring>
 #include <span>
+#include <type_traits>
 
 namespace umlsoc::replay {
 
@@ -51,6 +52,17 @@ class ByteWriter {
     bytes(value);
   }
   void bytes(std::string_view value) { buffer_.append(value); }
+  /// u32 count, then element(*this, item) per item.
+  template <typename T, typename Element>
+  void list(const std::vector<T>& items, Element element) {
+    u32(static_cast<std::uint32_t>(items.size()));
+    for (const T& item : items) element(*this, item);
+  }
+  /// One u8 holding an enumerator below `count`.
+  template <typename Enum>
+  void enumerated(Enum value, std::size_t /*count*/) {
+    u8(static_cast<std::uint8_t>(value));
+  }
   /// Grows the buffer by `size` bytes and returns where they start, for
   /// fixed-width runs filled with put().
   char* extend(std::size_t size) {
@@ -86,6 +98,8 @@ class ByteWriter {
 
 /// Bounds-checked reader. The first overrun latches `failed()`; subsequent
 /// reads return zero so decoders can run to completion and report once.
+/// Besides the value-returning reads, every field read has a by-reference
+/// twin with ByteWriter's name, so one field walk serves both directions.
 class ByteReader {
  public:
   explicit ByteReader(std::string_view data) : data_(data) {}
@@ -115,6 +129,26 @@ class ByteReader {
   std::string str() {
     const std::uint32_t length = u32();
     return std::string(bytes(length));
+  }
+  void u8(std::uint8_t& value) { value = u8(); }
+  void u32(std::uint32_t& value) { value = u32(); }
+  void u64(std::uint64_t& value) { value = u64(); }
+  void i64(std::int64_t& value) { value = i64(); }
+  void boolean(bool& value) { value = boolean(); }
+  void str(std::string& value) { value = str(); }
+  /// u32 count, then element(*this, item) per appended item, stopping at
+  /// the first overrun (a hostile count costs no more than the bytes read).
+  template <typename T, typename Element>
+  void list(std::vector<T>& items, Element element) {
+    const std::uint32_t count = u32();
+    for (std::uint32_t i = 0; i < count && !failed_; ++i) element(*this, items.emplace_back());
+  }
+  /// One u8 holding an enumerator; a value at or above `count` fails the read.
+  template <typename Enum>
+  void enumerated(Enum& value, std::size_t count) {
+    const std::uint8_t raw = u8();
+    if (raw >= count) failed_ = true;
+    value = static_cast<Enum>(raw);
   }
   std::string_view bytes(std::size_t size) {
     if (failed_ || data_.size() - position_ < size) {
@@ -151,104 +185,177 @@ class ByteReader {
 };
 
 // --- section payload codecs ---------------------------------------------------
-// One codec per section kind, each appending to a caller-supplied writer.
-// image_to_binary feeds them a decoded SnapshotImage; IncrementalEncoder
-// feeds them live component state. Both therefore produce the same bytes.
+// One field walk per section state, shared by both directions: `io` is a
+// ByteWriter when encoding and a ByteReader when decoding, and each call
+// writes or reads one field in place. image_to_binary walks a decoded
+// SnapshotImage, IncrementalEncoder live state captured into scratch, and
+// assemble_image walks a fresh image while reading; all three therefore agree
+// on the bytes. The recorder section keeps its own codec below: the encoder
+// streams and patches it in place.
 
-/// `label_of(i)` names the process of checkpoint.timed[i].
-template <typename LabelOf>
-void encode_kernel(ByteWriter& out, const sim::Kernel::Checkpoint& checkpoint,
-                   LabelOf label_of) {
-  out.u64(checkpoint.now_ps);
-  out.u64(checkpoint.sequence);
-  out.u64(checkpoint.delta_count);
-  out.u64(checkpoint.events_processed);
-  out.u64(checkpoint.process_count);
-  out.u32(static_cast<std::uint32_t>(checkpoint.timed.size()));
-  for (std::size_t i = 0; i < checkpoint.timed.size(); ++i) {
-    out.u64(checkpoint.timed[i].at_ps);
-    out.u64(checkpoint.timed[i].sequence);
-    out.u32(checkpoint.timed[i].process);
-    out.str(label_of(i));
-  }
-  out.u32(static_cast<std::uint32_t>(checkpoint.expectations.size()));
-  for (const auto& expectation : checkpoint.expectations) {
-    out.str(expectation.label);
-    out.u64(expectation.outstanding);
-  }
+/// `T` as a field walk sees it: read-only when encoding, filled when decoding.
+template <typename IO, typename T>
+using Walked = std::conditional_t<std::is_same_v<IO, ByteWriter>, const T, T>;
+
+/// `label_of(timed)` is the process label stored with each pending timed
+/// event: the string to write when encoding, the one to fill when decoding.
+template <typename IO, typename LabelOf>
+void kernel_fields(IO& io, Walked<IO, sim::Kernel::Checkpoint>& kernel, LabelOf label_of) {
+  io.u64(kernel.now_ps);
+  io.u64(kernel.sequence);
+  io.u64(kernel.delta_count);
+  io.u64(kernel.events_processed);
+  io.u64(kernel.process_count);
+  io.list(kernel.timed, [&](IO& io, auto& timed) {
+    io.u64(timed.at_ps);
+    io.u64(timed.sequence);
+    io.u32(timed.process);
+    io.str(label_of(timed));
+  });
+  io.list(kernel.expectations, [](IO& io, auto& expectation) {
+    io.str(expectation.label);
+    io.u64(expectation.outstanding);
+  });
 }
 
-bool decode_kernel(ByteReader& in, sim::Kernel::Checkpoint& out,
-                   std::vector<std::string>& labels) {
-  out.now_ps = in.u64();
-  out.sequence = in.u64();
-  out.delta_count = in.u64();
-  out.events_processed = in.u64();
-  out.process_count = in.u64();
-  const std::uint32_t timed_count = in.u32();
-  for (std::uint32_t i = 0; i < timed_count && !in.failed(); ++i) {
-    sim::Kernel::Checkpoint::PendingTimed timed;
-    timed.at_ps = in.u64();
-    timed.sequence = in.u64();
-    timed.process = in.u32();
-    out.timed.push_back(timed);
-    labels.push_back(in.str());
-  }
-  const std::uint32_t expectation_count = in.u32();
-  for (std::uint32_t i = 0; i < expectation_count && !in.failed(); ++i) {
-    sim::Kernel::Checkpoint::ExpectationEntry entry;
-    entry.label = in.str();
-    entry.outstanding = in.u64();
-    out.expectations.push_back(std::move(entry));
-  }
-  return !in.failed();
+template <typename IO>
+void fields(IO& io, Walked<IO, SnapshotImage::FaultPlanState>& plan) {
+  io.u64(plan.seed);
+  io.list(plan.sites, [](IO& io, auto& entry) {
+    auto& [site, state] = entry;
+    io.enumerated(site, sim::kFaultSiteCount);
+    io.u64(state.rng_state);
+    io.u64(state.counters.consults);
+    io.u64(state.counters.errors);
+    io.u64(state.counters.drops);
+    io.u64(state.counters.delays);
+    io.u64(state.counters.bit_flips);
+    io.u64(state.counters.glitches);
+  });
 }
 
-void encode_fault_site(ByteWriter& out, sim::FaultSite site,
-                       const sim::FaultPlan::SiteState& state) {
-  out.u8(static_cast<std::uint8_t>(site));
-  out.u64(state.rng_state);
-  out.u64(state.counters.consults);
-  out.u64(state.counters.errors);
-  out.u64(state.counters.drops);
-  out.u64(state.counters.delays);
-  out.u64(state.counters.bit_flips);
-  out.u64(state.counters.glitches);
+template <typename IO>
+void fields(IO& io, Walked<IO, statechart::InstanceSnapshot>& snapshot) {
+  const auto index = [](IO& io, auto& value) { io.u32(value); };
+  const auto event = [](IO& io, auto& record) {
+    io.str(record.name);
+    io.i64(record.data);
+    io.str(record.tag);
+  };
+  io.boolean(snapshot.started);
+  io.boolean(snapshot.terminated);
+  io.u64(snapshot.events_processed);
+  io.u64(snapshot.transitions_fired);
+  io.u64(snapshot.errors_raised);
+  io.u64(snapshot.errors_unhandled);
+  io.list(snapshot.active_states, index);
+  io.list(snapshot.active_finals, index);
+  io.list(snapshot.shallow_history, [](IO& io, auto& entry) {
+    io.u32(entry.first);
+    io.u32(entry.second);
+  });
+  io.list(snapshot.deep_history, [&](IO& io, auto& entry) {
+    io.u32(entry.first);
+    io.list(entry.second, index);
+  });
+  io.list(snapshot.variables, [](IO& io, auto& entry) {
+    io.str(entry.first);
+    io.i64(entry.second);
+  });
+  io.list(snapshot.queue, event);
+  io.list(snapshot.deferred, event);
 }
 
-void encode_fault_plan(ByteWriter& out, const SnapshotImage::FaultPlanState& plan) {
-  out.u64(plan.seed);
-  out.u32(static_cast<std::uint32_t>(plan.sites.size()));
-  for (const auto& [site, state] : plan.sites) encode_fault_site(out, site, state);
+template <typename IO>
+void fields(IO& io, Walked<IO, sim::MemoryMappedBus::Checkpoint>& checkpoint) {
+  io.u64(checkpoint.stats.reads);
+  io.u64(checkpoint.stats.writes);
+  io.u64(checkpoint.stats.errors);
+  io.u64(checkpoint.stats.injected_errors);
+  io.u64(checkpoint.stats.injected_drops);
+  io.u64(checkpoint.stats.injected_delays);
+  io.u64(checkpoint.stats.injected_bit_flips);
+  io.u64(checkpoint.stats.completions);
+  io.u64(checkpoint.stats.dropped_completions);
+  io.u64(checkpoint.last_completion_ps);
 }
 
-/// Live edition: every site, in site order (as capture_image records them).
-void encode_fault_plan(ByteWriter& out, const sim::FaultPlan& plan) {
-  out.u64(plan.seed());
-  out.u32(static_cast<std::uint32_t>(sim::kFaultSiteCount));
-  for (std::size_t i = 0; i < sim::kFaultSiteCount; ++i) {
-    const auto site = static_cast<sim::FaultSite>(i);
-    encode_fault_site(out, site, plan.site_state(site));
-  }
+template <typename IO>
+void fields(IO& io, Walked<IO, sim::Watchdog::Checkpoint>& checkpoint) {
+  io.boolean(checkpoint.armed);
+  io.boolean(checkpoint.tripped);
+  io.boolean(checkpoint.check_pending);
+  io.u64(checkpoint.trip_at_ps);
+  io.u64(checkpoint.trips);
+  io.u64(checkpoint.kicks);
 }
 
-bool decode_fault_plan(ByteReader& in, SnapshotImage::FaultPlanState& out) {
-  out.seed = in.u64();
-  const std::uint32_t site_count = in.u32();
-  for (std::uint32_t i = 0; i < site_count && !in.failed(); ++i) {
-    const std::uint8_t raw = in.u8();
-    if (raw >= sim::kFaultSiteCount) return false;
-    sim::FaultPlan::SiteState state;
-    state.rng_state = in.u64();
-    state.counters.consults = in.u64();
-    state.counters.errors = in.u64();
-    state.counters.drops = in.u64();
-    state.counters.delays = in.u64();
-    state.counters.bit_flips = in.u64();
-    state.counters.glitches = in.u64();
-    out.sites.emplace_back(static_cast<sim::FaultSite>(raw), state);
-  }
-  return !in.failed();
+template <typename IO>
+void fields(IO& io, Walked<IO, sim::Supervisor::Checkpoint>& checkpoint) {
+  io.boolean(checkpoint.suspended);
+  io.boolean(checkpoint.gave_up);
+  io.str(checkpoint.give_up_reason);
+  io.u64(checkpoint.escalations);
+  io.list(checkpoint.window, [](IO& io, auto& at_ps) { io.u64(at_ps); });
+  io.list(checkpoint.children, [](IO& io, auto& child) {
+    io.u64(child.failures);
+    io.u64(child.restarts);
+    io.u64(child.failed_restarts);
+    io.u32(child.consecutive);
+    io.u64(child.last_failure_ps);
+  });
+  io.list(checkpoint.pending, [](IO& io, auto& pending) {
+    io.u64(pending.due_ps);
+    io.u32(pending.child);
+  });
+}
+
+template <typename IO>
+void fields(IO& io, Walked<IO, sim::CircuitBreaker::Checkpoint>& checkpoint) {
+  io.u8(checkpoint.state);
+  io.u64(checkpoint.outcomes);
+  io.u32(checkpoint.cursor);
+  io.u32(checkpoint.samples);
+  io.u32(checkpoint.failures_in_window);
+  io.u64(checkpoint.open_duration_ps);
+  io.u64(checkpoint.reopen_at_ps);
+  io.boolean(checkpoint.timer_pending);
+  io.boolean(checkpoint.probe_in_flight);
+  io.u64(checkpoint.stats.issued);
+  io.u64(checkpoint.stats.ok);
+  io.u64(checkpoint.stats.failures);
+  io.u64(checkpoint.stats.fast_failed);
+  io.u64(checkpoint.stats.opens);
+  io.u64(checkpoint.stats.closes);
+  io.u64(checkpoint.stats.probes);
+  io.u64(checkpoint.stats.probe_failures);
+}
+
+template <typename IO>
+void fields(IO& io, Walked<IO, sim::HealthRegistry::Checkpoint>& checkpoint) {
+  io.u64(checkpoint.transitions);
+  io.list(checkpoint.health, [](IO& io, auto& value) { io.u8(value); });
+}
+
+/// A bank: its entries' keys and values. `entries` is a stored BankValues,
+/// or — encoding live — a bank's bound fields, written in place so no key
+/// is copied.
+template <typename IO, typename Entries>
+void bank_fields(IO& io, Entries& entries) {
+  io.list(entries, [](IO& io, auto& entry) {
+    if constexpr (std::is_same_v<std::remove_cvref_t<decltype(entry)>, ValueBank::Field>) {
+      io.str(entry.key);
+      io.u64(*entry.value);
+    } else {
+      io.str(entry.first);
+      io.u64(entry.second);
+    }
+  });
+}
+
+template <typename IO>
+void fields(IO& io, Walked<IO, SnapshotImage::BankValues>& values) {
+  bank_fields(io, values);
 }
 
 /// The 12-byte recorder tail: u64 running total + u32 entry count.
@@ -322,273 +429,6 @@ bool decode_recorder(ByteReader& in, SnapshotImage::RecorderState& out) {
   return !in.failed() && stored_count == count && out.events.size() <= out.total;
 }
 
-void encode_event_records(ByteWriter& out,
-                          const std::vector<statechart::InstanceSnapshot::EventRecord>& records) {
-  out.u32(static_cast<std::uint32_t>(records.size()));
-  for (const auto& record : records) {
-    out.str(record.name);
-    out.i64(record.data);
-    out.str(record.tag);
-  }
-}
-
-bool decode_event_records(ByteReader& in,
-                          std::vector<statechart::InstanceSnapshot::EventRecord>& out) {
-  const std::uint32_t count = in.u32();
-  for (std::uint32_t i = 0; i < count && !in.failed(); ++i) {
-    statechart::InstanceSnapshot::EventRecord record;
-    record.name = in.str();
-    record.data = in.i64();
-    record.tag = in.str();
-    out.push_back(std::move(record));
-  }
-  return !in.failed();
-}
-
-void encode_machine(ByteWriter& out, const statechart::InstanceSnapshot& snapshot) {
-  out.boolean(snapshot.started);
-  out.boolean(snapshot.terminated);
-  out.u64(snapshot.events_processed);
-  out.u64(snapshot.transitions_fired);
-  out.u64(snapshot.errors_raised);
-  out.u64(snapshot.errors_unhandled);
-  out.u32(static_cast<std::uint32_t>(snapshot.active_states.size()));
-  for (std::uint32_t index : snapshot.active_states) out.u32(index);
-  out.u32(static_cast<std::uint32_t>(snapshot.active_finals.size()));
-  for (std::uint32_t index : snapshot.active_finals) out.u32(index);
-  out.u32(static_cast<std::uint32_t>(snapshot.shallow_history.size()));
-  for (const auto& [region, state] : snapshot.shallow_history) {
-    out.u32(region);
-    out.u32(state);
-  }
-  out.u32(static_cast<std::uint32_t>(snapshot.deep_history.size()));
-  for (const auto& [region, leaves] : snapshot.deep_history) {
-    out.u32(region);
-    out.u32(static_cast<std::uint32_t>(leaves.size()));
-    for (std::uint32_t leaf : leaves) out.u32(leaf);
-  }
-  out.u32(static_cast<std::uint32_t>(snapshot.variables.size()));
-  for (const auto& [name, value] : snapshot.variables) {
-    out.str(name);
-    out.i64(value);
-  }
-  encode_event_records(out, snapshot.queue);
-  encode_event_records(out, snapshot.deferred);
-}
-
-bool decode_machine(ByteReader& in, statechart::InstanceSnapshot& out) {
-  out.started = in.boolean();
-  out.terminated = in.boolean();
-  out.events_processed = in.u64();
-  out.transitions_fired = in.u64();
-  out.errors_raised = in.u64();
-  out.errors_unhandled = in.u64();
-  const std::uint32_t state_count = in.u32();
-  for (std::uint32_t i = 0; i < state_count && !in.failed(); ++i) {
-    out.active_states.push_back(in.u32());
-  }
-  const std::uint32_t final_count = in.u32();
-  for (std::uint32_t i = 0; i < final_count && !in.failed(); ++i) {
-    out.active_finals.push_back(in.u32());
-  }
-  const std::uint32_t shallow_count = in.u32();
-  for (std::uint32_t i = 0; i < shallow_count && !in.failed(); ++i) {
-    const std::uint32_t region = in.u32();
-    out.shallow_history.emplace_back(region, in.u32());
-  }
-  const std::uint32_t deep_count = in.u32();
-  for (std::uint32_t i = 0; i < deep_count && !in.failed(); ++i) {
-    const std::uint32_t region = in.u32();
-    std::vector<std::uint32_t> leaves;
-    const std::uint32_t leaf_count = in.u32();
-    for (std::uint32_t j = 0; j < leaf_count && !in.failed(); ++j) leaves.push_back(in.u32());
-    out.deep_history.emplace_back(region, std::move(leaves));
-  }
-  const std::uint32_t variable_count = in.u32();
-  for (std::uint32_t i = 0; i < variable_count && !in.failed(); ++i) {
-    std::string name = in.str();
-    out.variables.emplace_back(std::move(name), in.i64());
-  }
-  if (!decode_event_records(in, out.queue)) return false;
-  if (!decode_event_records(in, out.deferred)) return false;
-  return !in.failed();
-}
-
-void encode_bus(ByteWriter& out, const sim::MemoryMappedBus::Checkpoint& checkpoint) {
-  out.u64(checkpoint.stats.reads);
-  out.u64(checkpoint.stats.writes);
-  out.u64(checkpoint.stats.errors);
-  out.u64(checkpoint.stats.injected_errors);
-  out.u64(checkpoint.stats.injected_drops);
-  out.u64(checkpoint.stats.injected_delays);
-  out.u64(checkpoint.stats.injected_bit_flips);
-  out.u64(checkpoint.stats.completions);
-  out.u64(checkpoint.stats.dropped_completions);
-  out.u64(checkpoint.last_completion_ps);
-}
-
-bool decode_bus(ByteReader& in, sim::MemoryMappedBus::Checkpoint& out) {
-  out.stats.reads = in.u64();
-  out.stats.writes = in.u64();
-  out.stats.errors = in.u64();
-  out.stats.injected_errors = in.u64();
-  out.stats.injected_drops = in.u64();
-  out.stats.injected_delays = in.u64();
-  out.stats.injected_bit_flips = in.u64();
-  out.stats.completions = in.u64();
-  out.stats.dropped_completions = in.u64();
-  out.last_completion_ps = in.u64();
-  return !in.failed();
-}
-
-void encode_watchdog(ByteWriter& out, const sim::Watchdog::Checkpoint& checkpoint) {
-  out.boolean(checkpoint.armed);
-  out.boolean(checkpoint.tripped);
-  out.boolean(checkpoint.check_pending);
-  out.u64(checkpoint.trip_at_ps);
-  out.u64(checkpoint.trips);
-  out.u64(checkpoint.kicks);
-}
-
-bool decode_watchdog(ByteReader& in, sim::Watchdog::Checkpoint& out) {
-  out.armed = in.boolean();
-  out.tripped = in.boolean();
-  out.check_pending = in.boolean();
-  out.trip_at_ps = in.u64();
-  out.trips = in.u64();
-  out.kicks = in.u64();
-  return !in.failed();
-}
-
-void encode_supervisor(ByteWriter& out, const sim::Supervisor::Checkpoint& checkpoint) {
-  out.boolean(checkpoint.suspended);
-  out.boolean(checkpoint.gave_up);
-  out.str(checkpoint.give_up_reason);
-  out.u64(checkpoint.escalations);
-  out.u32(static_cast<std::uint32_t>(checkpoint.window.size()));
-  for (std::uint64_t at_ps : checkpoint.window) out.u64(at_ps);
-  out.u32(static_cast<std::uint32_t>(checkpoint.children.size()));
-  for (const auto& child : checkpoint.children) {
-    out.u64(child.failures);
-    out.u64(child.restarts);
-    out.u64(child.failed_restarts);
-    out.u32(child.consecutive);
-    out.u64(child.last_failure_ps);
-  }
-  out.u32(static_cast<std::uint32_t>(checkpoint.pending.size()));
-  for (const auto& pending : checkpoint.pending) {
-    out.u64(pending.due_ps);
-    out.u32(pending.child);
-  }
-}
-
-bool decode_supervisor(ByteReader& in, sim::Supervisor::Checkpoint& out) {
-  out.suspended = in.boolean();
-  out.gave_up = in.boolean();
-  out.give_up_reason = in.str();
-  out.escalations = in.u64();
-  const std::uint32_t window_count = in.u32();
-  for (std::uint32_t i = 0; i < window_count && !in.failed(); ++i) out.window.push_back(in.u64());
-  const std::uint32_t child_count = in.u32();
-  for (std::uint32_t i = 0; i < child_count && !in.failed(); ++i) {
-    sim::Supervisor::Checkpoint::ChildState child;
-    child.failures = in.u64();
-    child.restarts = in.u64();
-    child.failed_restarts = in.u64();
-    child.consecutive = in.u32();
-    child.last_failure_ps = in.u64();
-    out.children.push_back(child);
-  }
-  const std::uint32_t pending_count = in.u32();
-  for (std::uint32_t i = 0; i < pending_count && !in.failed(); ++i) {
-    sim::Supervisor::Checkpoint::PendingRestart pending;
-    pending.due_ps = in.u64();
-    pending.child = in.u32();
-    out.pending.push_back(pending);
-  }
-  return !in.failed();
-}
-
-void encode_breaker(ByteWriter& out, const sim::CircuitBreaker::Checkpoint& checkpoint) {
-  out.u8(checkpoint.state);
-  out.u64(checkpoint.outcomes);
-  out.u32(checkpoint.cursor);
-  out.u32(checkpoint.samples);
-  out.u32(checkpoint.failures_in_window);
-  out.u64(checkpoint.open_duration_ps);
-  out.u64(checkpoint.reopen_at_ps);
-  out.boolean(checkpoint.timer_pending);
-  out.boolean(checkpoint.probe_in_flight);
-  out.u64(checkpoint.stats.issued);
-  out.u64(checkpoint.stats.ok);
-  out.u64(checkpoint.stats.failures);
-  out.u64(checkpoint.stats.fast_failed);
-  out.u64(checkpoint.stats.opens);
-  out.u64(checkpoint.stats.closes);
-  out.u64(checkpoint.stats.probes);
-  out.u64(checkpoint.stats.probe_failures);
-}
-
-bool decode_breaker(ByteReader& in, sim::CircuitBreaker::Checkpoint& out) {
-  out.state = in.u8();
-  out.outcomes = in.u64();
-  out.cursor = in.u32();
-  out.samples = in.u32();
-  out.failures_in_window = in.u32();
-  out.open_duration_ps = in.u64();
-  out.reopen_at_ps = in.u64();
-  out.timer_pending = in.boolean();
-  out.probe_in_flight = in.boolean();
-  out.stats.issued = in.u64();
-  out.stats.ok = in.u64();
-  out.stats.failures = in.u64();
-  out.stats.fast_failed = in.u64();
-  out.stats.opens = in.u64();
-  out.stats.closes = in.u64();
-  out.stats.probes = in.u64();
-  out.stats.probe_failures = in.u64();
-  return !in.failed();
-}
-
-void encode_health(ByteWriter& out, const sim::HealthRegistry::Checkpoint& checkpoint) {
-  out.u64(checkpoint.transitions);
-  out.u32(static_cast<std::uint32_t>(checkpoint.health.size()));
-  for (std::uint8_t value : checkpoint.health) out.u8(value);
-}
-
-bool decode_health(ByteReader& in, sim::HealthRegistry::Checkpoint& out) {
-  out.transitions = in.u64();
-  const std::uint32_t unit_count = in.u32();
-  for (std::uint32_t i = 0; i < unit_count && !in.failed(); ++i) out.health.push_back(in.u8());
-  return !in.failed();
-}
-
-void encode_bank(ByteWriter& out, const SnapshotImage::BankValues& values) {
-  out.u32(static_cast<std::uint32_t>(values.size()));
-  for (const auto& [key, value] : values) {
-    out.str(key);
-    out.u64(value);
-  }
-}
-
-/// A live bank encodes exactly like its captured image: keys in field order.
-void encode_bank(ByteWriter& out, const ValueBank& bank) {
-  out.u32(static_cast<std::uint32_t>(bank.fields.size()));
-  for (const ValueBank::Field& field : bank.fields) {
-    out.str(field.key);
-    out.u64(*field.value);
-  }
-}
-
-bool decode_bank(ByteReader& in, SnapshotImage::BankValues& out) {
-  const std::uint32_t count = in.u32();
-  for (std::uint32_t i = 0; i < count && !in.failed(); ++i) {
-    std::string key = in.str();
-    out.emplace_back(std::move(key), in.u64());
-  }
-  return !in.failed();
-}
-
 // --- image <-> flat section list ---------------------------------------------
 
 struct FlatSection {
@@ -611,48 +451,27 @@ std::vector<FlatSection> flatten_image(const SnapshotImage& image) {
   std::vector<FlatSection> sections;
   sections.reserve(image.section_count());
   add_section(sections, SectionKind::kKernel, "", [&](ByteWriter& out) {
-    encode_kernel(out, image.kernel, [&](std::size_t i) -> std::string_view {
+    std::size_t next = 0;
+    kernel_fields(out, image.kernel, [&](const auto&) -> std::string_view {
+      const std::size_t i = next++;
       if (i < image.kernel_timed_labels.size()) return image.kernel_timed_labels[i];
       return {};
     });
   });
   if (image.fault_plan) {
     add_section(sections, SectionKind::kFaultPlan, "",
-                [&](ByteWriter& out) { encode_fault_plan(out, *image.fault_plan); });
+                [&](ByteWriter& out) { fields(out, *image.fault_plan); });
   }
   if (image.recorder) {
     add_section(sections, SectionKind::kRecorder, "", [&](ByteWriter& out) {
       encode_recorder(out, image.recorder->total, {image.recorder->events, {}});
     });
   }
-  for (const auto& entry : image.machines) {
-    add_section(sections, SectionKind::kMachine, entry.name,
-                [&](ByteWriter& out) { encode_machine(out, entry.state); });
-  }
-  for (const auto& entry : image.buses) {
-    add_section(sections, SectionKind::kBus, entry.name,
-                [&](ByteWriter& out) { encode_bus(out, entry.state); });
-  }
-  for (const auto& entry : image.watchdogs) {
-    add_section(sections, SectionKind::kWatchdog, entry.name,
-                [&](ByteWriter& out) { encode_watchdog(out, entry.state); });
-  }
-  for (const auto& entry : image.supervisors) {
-    add_section(sections, SectionKind::kSupervisor, entry.name,
-                [&](ByteWriter& out) { encode_supervisor(out, entry.state); });
-  }
-  for (const auto& entry : image.breakers) {
-    add_section(sections, SectionKind::kBreaker, entry.name,
-                [&](ByteWriter& out) { encode_breaker(out, entry.state); });
-  }
-  for (const auto& entry : image.health) {
-    add_section(sections, SectionKind::kHealth, entry.name,
-                [&](ByteWriter& out) { encode_health(out, entry.state); });
-  }
-  for (const auto& entry : image.banks) {
-    add_section(sections, SectionKind::kBank, entry.name,
-                [&](ByteWriter& out) { encode_bank(out, entry.state); });
-  }
+  for_each_named_section([&](SectionKind kind, auto, auto image_of, auto&&...) {
+    for (const auto& entry : image.*image_of) {
+      add_section(sections, kind, entry.name, [&](ByteWriter& out) { fields(out, entry.state); });
+    }
+  });
   return sections;
 }
 
@@ -676,67 +495,26 @@ bool assemble_image(const std::vector<FlatSection>& sections, SnapshotImage& ima
       }
     }
     ByteReader in(section.payload);
-    bool ok = false;
+    bool ok = true;  // Besides the reader's own overrun latch.
     switch (section.kind) {
       case SectionKind::kKernel:
         kernel_seen = true;
-        ok = decode_kernel(in, out.kernel, out.kernel_timed_labels);
+        kernel_fields(in, out.kernel, [&](const auto&) -> std::string& {
+          return out.kernel_timed_labels.emplace_back();
+        });
         break;
-      case SectionKind::kFaultPlan: {
-        SnapshotImage::FaultPlanState plan;
-        ok = decode_fault_plan(in, plan);
-        if (ok) out.fault_plan = std::move(plan);
+      case SectionKind::kFaultPlan:
+        fields(in, out.fault_plan.emplace());
         break;
-      }
-      case SectionKind::kRecorder: {
-        SnapshotImage::RecorderState recorder;
-        ok = decode_recorder(in, recorder);
-        if (ok) out.recorder = std::move(recorder);
+      case SectionKind::kRecorder:
+        ok = decode_recorder(in, out.recorder.emplace());
         break;
-      }
-      case SectionKind::kMachine: {
-        SnapshotImage::Named<statechart::InstanceSnapshot> entry{section.name, {}};
-        ok = decode_machine(in, entry.state);
-        if (ok) out.machines.push_back(std::move(entry));
-        break;
-      }
-      case SectionKind::kBus: {
-        SnapshotImage::Named<sim::MemoryMappedBus::Checkpoint> entry{section.name, {}};
-        ok = decode_bus(in, entry.state);
-        if (ok) out.buses.push_back(std::move(entry));
-        break;
-      }
-      case SectionKind::kWatchdog: {
-        SnapshotImage::Named<sim::Watchdog::Checkpoint> entry{section.name, {}};
-        ok = decode_watchdog(in, entry.state);
-        if (ok) out.watchdogs.push_back(std::move(entry));
-        break;
-      }
-      case SectionKind::kSupervisor: {
-        SnapshotImage::Named<sim::Supervisor::Checkpoint> entry{section.name, {}};
-        ok = decode_supervisor(in, entry.state);
-        if (ok) out.supervisors.push_back(std::move(entry));
-        break;
-      }
-      case SectionKind::kBreaker: {
-        SnapshotImage::Named<sim::CircuitBreaker::Checkpoint> entry{section.name, {}};
-        ok = decode_breaker(in, entry.state);
-        if (ok) out.breakers.push_back(std::move(entry));
-        break;
-      }
-      case SectionKind::kHealth: {
-        SnapshotImage::Named<sim::HealthRegistry::Checkpoint> entry{section.name, {}};
-        ok = decode_health(in, entry.state);
-        if (ok) out.health.push_back(std::move(entry));
-        break;
-      }
-      case SectionKind::kBank: {
-        SnapshotImage::Named<SnapshotImage::BankValues> entry{section.name, {}};
-        ok = decode_bank(in, entry.state);
-        if (ok) out.banks.push_back(std::move(entry));
-        break;
-      }
+      default:
+        for_each_named_section([&](SectionKind kind, auto, auto image_of, auto&&...) {
+          if (kind == section.kind) fields(in, (out.*image_of).emplace_back(section.name).state);
+        });
     }
+    ok = ok && !in.failed();
     if (!ok || !in.exhausted()) {
       sink.error("binary-snapshot",
                  "malformed payload in " + describe(section.kind, section.name) +
@@ -878,7 +656,7 @@ bool parse_file(std::string_view data, BinarySnapshotInfo& info,
       return false;
     }
     if (kind < static_cast<std::uint8_t>(SectionKind::kKernel) ||
-        kind > static_cast<std::uint8_t>(SectionKind::kBank)) {
+        kind > static_cast<std::uint8_t>(kLastSectionKind)) {
       sink.error("binary-snapshot", "unknown section kind " + std::to_string(kind) +
                                         " at offset " + std::to_string(offset));
       return false;
@@ -1042,22 +820,6 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
 
 }  // namespace
 
-std::string_view to_string(SectionKind kind) {
-  switch (kind) {
-    case SectionKind::kKernel: return "kernel";
-    case SectionKind::kFaultPlan: return "fault-plan";
-    case SectionKind::kRecorder: return "recorder";
-    case SectionKind::kMachine: return "machine";
-    case SectionKind::kBus: return "bus";
-    case SectionKind::kWatchdog: return "watchdog";
-    case SectionKind::kSupervisor: return "supervisor";
-    case SectionKind::kBreaker: return "breaker";
-    case SectionKind::kHealth: return "health";
-    case SectionKind::kBank: return "bank";
-  }
-  return "?";
-}
-
 bool read_binary_info(std::string_view data, BinarySnapshotInfo& info,
                       support::DiagnosticSink& sink) {
   ByteReader in(data);
@@ -1126,58 +888,43 @@ namespace {
 
 /// Calls visit(kind, name, encode) for every section the targets serialize,
 /// in file order (flatten_image's order). encode(ByteWriter&) appends the
-/// section's payload from live state, using `kernel` (already captured)
-/// and `machine` (scratch). The recorder's encode writes nothing:
-/// IncrementalEncoder streams that section itself.
+/// section's payload from live state, capturing each component into its
+/// kind's slot of `scratch` (whose kernel is already captured) so buffers
+/// are reused across checkpoints; banks are written straight from their
+/// bound fields. The recorder's encode writes nothing: IncrementalEncoder
+/// streams that section itself.
 template <typename Visit>
-void visit_live_sections(const SnapshotTargets& targets, const sim::Kernel::Checkpoint& kernel,
-                         statechart::InstanceSnapshot& machine, Visit visit) {
+void visit_live_sections(const SnapshotTargets& targets, SnapshotImage& scratch, Visit visit) {
   visit(SectionKind::kKernel, std::string_view(), [&](ByteWriter& out) {
-    encode_kernel(out, kernel, [&](std::size_t i) -> std::string_view {
-      return targets.kernel->process_label(kernel.timed[i].process);
+    kernel_fields(out, scratch.kernel, [&](const auto& timed) -> std::string_view {
+      return targets.kernel->process_label(timed.process);
     });
   });
   if (targets.fault_plan != nullptr) {
-    visit(SectionKind::kFaultPlan, std::string_view(),
-          [&](ByteWriter& out) { encode_fault_plan(out, *targets.fault_plan); });
+    visit(SectionKind::kFaultPlan, std::string_view(), [&](ByteWriter& out) {
+      if (!scratch.fault_plan) scratch.fault_plan.emplace();
+      scratch.fault_plan->capture(*targets.fault_plan);
+      fields(out, *scratch.fault_plan);
+    });
   }
   if (targets.recorder != nullptr) {
     visit(SectionKind::kRecorder, std::string_view(), [](ByteWriter&) {});
   }
-  for (const MachineTarget& target : targets.machines) {
-    visit(SectionKind::kMachine, target.name, [&](ByteWriter& out) {
-      target.instance->capture_into(machine);
-      encode_machine(out, machine);
-    });
-  }
-  for (const BusTarget& target : targets.buses) {
-    visit(SectionKind::kBus, target.name,
-          [&](ByteWriter& out) { encode_bus(out, target.bus->capture_checkpoint()); });
-  }
-  for (const WatchdogTarget& target : targets.watchdogs) {
-    visit(SectionKind::kWatchdog, target.name, [&](ByteWriter& out) {
-      encode_watchdog(out, target.watchdog->capture_checkpoint());
-    });
-  }
-  for (const SupervisorTarget& target : targets.supervisors) {
-    visit(SectionKind::kSupervisor, target.name, [&](ByteWriter& out) {
-      encode_supervisor(out, target.supervisor->capture_checkpoint());
-    });
-  }
-  for (const BreakerTarget& target : targets.breakers) {
-    visit(SectionKind::kBreaker, target.name, [&](ByteWriter& out) {
-      encode_breaker(out, target.breaker->capture_checkpoint());
-    });
-  }
-  for (const HealthTarget& target : targets.health) {
-    visit(SectionKind::kHealth, target.name, [&](ByteWriter& out) {
-      encode_health(out, target.registry->capture_checkpoint());
-    });
-  }
-  for (const ValueBank& bank : targets.banks) {
-    visit(SectionKind::kBank, bank.name,
-          [&](ByteWriter& out) { encode_bank(out, bank); });
-  }
+  for_each_named_section([&](SectionKind kind, auto targets_of, auto image_of, auto capture,
+                             auto) {
+    for (const auto& target : targets.*targets_of) {
+      visit(kind, target.name, [&](ByteWriter& out) {
+        if constexpr (std::is_same_v<std::remove_cvref_t<decltype(target)>, ValueBank>) {
+          bank_fields(out, target.fields);
+        } else {
+          auto& slots = scratch.*image_of;
+          if (slots.empty()) slots.emplace_back();
+          capture(target, slots.front().state);
+          fields(out, slots.front().state);
+        }
+      });
+    }
+  });
 }
 
 }  // namespace
@@ -1186,7 +933,7 @@ bool IncrementalEncoder::reshape(const SnapshotTargets& targets) {
   const std::size_t previous = sections_.size();
   std::size_t count = 0;
   bool reshaped = false;
-  visit_live_sections(targets, kernel_, machine_,
+  visit_live_sections(targets, scratch_,
                       [&](SectionKind kind, std::string_view name, const auto&) {
                         if (count == sections_.size()) sections_.emplace_back();
                         Section& section = sections_[count];
@@ -1302,7 +1049,7 @@ std::size_t IncrementalEncoder::stream_recorder(Section& section,
 bool IncrementalEncoder::encode(const SnapshotTargets& targets, bool force_full, Result& out,
                                 support::DiagnosticSink& sink) {
   const auto started = std::chrono::steady_clock::now();
-  if (!capture_kernel(targets, kernel_, sink)) return false;
+  if (!capture_kernel(targets, scratch_.kernel, sink)) return false;
 
   // Delta encoding only makes sense against an identically-shaped base.
   const bool reshaped = reshape(targets);
@@ -1311,7 +1058,7 @@ bool IncrementalEncoder::encode(const SnapshotTargets& targets, bool force_full,
 
   std::size_t next = 0;
   std::size_t dirty = 0;
-  visit_live_sections(targets, kernel_, machine_,
+  visit_live_sections(targets, scratch_,
                       [&](SectionKind kind, std::string_view, const auto& encode_payload) {
                         Section& section = sections_[next++];
                         if (kind == SectionKind::kRecorder) {

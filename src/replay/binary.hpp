@@ -3,7 +3,10 @@
 //
 // The codec is a pure transcoder of SnapshotImage (replay/snapshot.hpp):
 // capture_image/apply_image own the refusal rules and the section/target
-// matching, this file owns bytes. IncrementalEncoder streams the same
+// matching, this file owns bytes. Each section state's payload layout is
+// written once, as a two-way field walk that encodes through a writer and
+// decodes through a reader; the named section kinds come from the section
+// table (for_each_named_section). IncrementalEncoder streams the same
 // section payloads straight from live state on the checkpoint hot path.
 //
 // File layout (all integers little-endian):
@@ -20,7 +23,7 @@
 //
 // Section frame:
 //
-//   u8  kind                       SectionKind
+//   u8  kind                       SectionKind (replay/snapshot.hpp)
 //   u16 name_len + bytes           "" for kernel / fault-plan / recorder
 //   u8  entry flags                0 payload, 1 reference, 2 recorder-append
 //   u32 payload_len
@@ -93,22 +96,6 @@ inline std::uint64_t fnv1a(std::string_view data, std::uint64_t hash = kFnvOffse
   return hash;
 }
 
-/// Section kind tags (stable on-disk values).
-enum class SectionKind : std::uint8_t {
-  kKernel = 1,
-  kFaultPlan = 2,
-  kRecorder = 3,
-  kMachine = 4,
-  kBus = 5,
-  kWatchdog = 6,
-  kSupervisor = 7,
-  kBreaker = 8,
-  kHealth = 9,
-  kBank = 10,
-};
-
-[[nodiscard]] std::string_view to_string(SectionKind kind);
-
 /// Parsed header of a binary snapshot (no payload validation).
 struct BinarySnapshotInfo {
   int version = 0;
@@ -148,8 +135,9 @@ struct BinarySnapshotInfo {
 /// still dedups to a reference frame. If the section set itself changes
 /// (targets added/removed), the encoder falls back to a full snapshot.
 ///
-/// Each encode streams the sections straight from the live targets (no
-/// SnapshotImage) into per-section buffers kept across calls, so its cost
+/// Each encode streams the sections straight from the live targets (each
+/// component captured into a scratch image kept across calls, banks read
+/// in place) into per-section buffers kept across calls, so its cost
 /// follows the state that changed, not the state that exists:
 ///  * every section is double-buffered — the new bytes go to a spare buffer
 ///    that is swapped with the previous payload only when they differ;
@@ -245,10 +233,10 @@ class IncrementalEncoder {
   std::uint64_t recorder_total_ = 0;
   std::uint64_t recorder_entries_hash_ = 0;
 
-  // Capture scratch and the recorder append payload and its hash, reused
-  // across encodes.
-  sim::Kernel::Checkpoint kernel_;
-  statechart::InstanceSnapshot machine_;
+  // Capture scratch (the kernel, the fault plan and one state per named
+  // kind) and the recorder append payload and its hash, reused across
+  // encodes.
+  SnapshotImage scratch_;
   std::string append_;
   std::uint64_t append_hash_ = 0;
 };

@@ -1,5 +1,6 @@
 #include "replay/snapshot.hpp"
 
+#include <array>
 #include <chrono>
 #include <map>
 #include <memory>
@@ -57,10 +58,8 @@ bool match_sections(std::string_view element,
 }
 
 /// Checks one bank section against its bank's fields: every stored key binds
-/// exactly one field and every field gets a value. Appends the restore's
-/// writes to `writes`, so applying them cannot fail.
+/// exactly one field and every field gets a value.
 bool match_bank_keys(const ValueBank& bank, const SnapshotImage::BankValues& values,
-                     std::vector<std::pair<std::uint64_t*, std::uint64_t>>& writes,
                      support::DiagnosticSink& sink) {
   bool ok = true;
   std::vector<bool> bound(bank.fields.size(), false);
@@ -75,7 +74,6 @@ bool match_bank_keys(const ValueBank& bank, const SnapshotImage::BankValues& val
       ok = false;
     } else {
       bound[field] = true;
-      writes.emplace_back(bank.fields[field].value, value);
     }
   }
   for (std::size_t field = 0; field < bank.fields.size(); ++field) {
@@ -87,6 +85,41 @@ bool match_bank_keys(const ValueBank& bank, const SnapshotImage::BankValues& val
   }
   return ok;
 }
+
+/// Checks that a fault-plan section holds every site exactly once, so a
+/// restore leaves no site at its constructed RNG state.
+bool match_fault_sites(const SnapshotImage::FaultPlanState& plan, support::DiagnosticSink& sink) {
+  bool ok = true;
+  std::array<int, sim::kFaultSiteCount> listed{};
+  for (const auto& [site, state] : plan.sites) {
+    if (++listed[static_cast<std::size_t>(site)] == 2) {
+      sink.error("snapshot", "<fault-plan> section lists site '" +
+                                 std::string(sim::to_string(site)) + "' twice");
+      ok = false;
+    }
+  }
+  for (std::size_t i = 0; i < listed.size(); ++i) {
+    if (listed[i] == 0) {
+      sink.error("snapshot", "<fault-plan> section has no state for site '" +
+                                 std::string(sim::to_string(static_cast<sim::FaultSite>(i))) +
+                                 "'");
+      ok = false;
+    }
+  }
+  return ok;
+}
+
+/// True when the section table lists every named kind exactly once.
+constexpr bool lists_every_named_kind() {
+  std::array<int, static_cast<std::size_t>(kLastSectionKind) + 1> listed{};
+  for_each_named_section(
+      [&listed](SectionKind kind, auto&&...) { ++listed[static_cast<std::size_t>(kind)]; });
+  for (auto kind = static_cast<std::size_t>(SectionKind::kMachine); kind < listed.size(); ++kind) {
+    if (listed[kind] != 1) return false;
+  }
+  return true;
+}
+static_assert(lists_every_named_kind(), "a named SectionKind is missing from the section table");
 
 /// True when `label` is the expectation a watchdog named `name` holds while
 /// armed ("watchdog <name> armed"), compared without building the string.
@@ -102,6 +135,22 @@ bool is_watchdog_label(std::string_view label, std::string_view name) {
 
 // --- capture -----------------------------------------------------------------
 
+std::string_view to_string(SectionKind kind) {
+  switch (kind) {
+    case SectionKind::kKernel: return "kernel";
+    case SectionKind::kFaultPlan: return "fault-plan";
+    case SectionKind::kRecorder: return "recorder";
+    case SectionKind::kMachine: return "machine";
+    case SectionKind::kBus: return "bus";
+    case SectionKind::kWatchdog: return "watchdog";
+    case SectionKind::kSupervisor: return "supervisor";
+    case SectionKind::kBreaker: return "breaker";
+    case SectionKind::kHealth: return "health";
+    case SectionKind::kBank: return "bank";
+  }
+  return "?";
+}
+
 bool capture_kernel(const SnapshotTargets& targets, sim::Kernel::Checkpoint& checkpoint,
                     support::DiagnosticSink& sink) {
   if (targets.kernel == nullptr) {
@@ -111,10 +160,10 @@ bool capture_kernel(const SnapshotTargets& targets, sim::Kernel::Checkpoint& che
   if (!targets.kernel->capture_checkpoint(checkpoint, sink)) return false;
 
   bool ok = true;
-  for (const BusTarget& target : targets.buses) {
-    if (target.bus->pending_transactions() != 0) {
+  for (const auto& target : targets.buses) {
+    if (target.component->pending_transactions() != 0) {
       sink.error("snapshot", "bus '" + target.name + "' has " +
-                                 std::to_string(target.bus->pending_transactions()) +
+                                 std::to_string(target.component->pending_transactions()) +
                                  " pending transactions; checkpoint between quiescent points");
       ok = false;
     }
@@ -127,11 +176,11 @@ bool capture_kernel(const SnapshotTargets& targets, sim::Kernel::Checkpoint& che
   for (const auto& expectation : checkpoint.expectations) {
     if (expectation.outstanding == 0) continue;
     bool owned = false;
-    for (const WatchdogTarget& target : targets.watchdogs) {
-      owned = owned || is_watchdog_label(expectation.label, target.watchdog->name());
+    for (const auto& target : targets.watchdogs) {
+      owned = owned || is_watchdog_label(expectation.label, target.component->name());
     }
-    for (const SupervisorTarget& target : targets.supervisors) {
-      owned = owned || expectation.label == target.supervisor->restart_expectation_label();
+    for (const auto& target : targets.supervisors) {
+      owned = owned || expectation.label == target.component->restart_expectation_label();
     }
     if (!owned) {
       sink.error("snapshot",
@@ -153,41 +202,16 @@ bool capture_image(const SnapshotTargets& targets, SnapshotImage& image,
   for (const auto& timed : out.kernel.timed) {
     out.kernel_timed_labels.push_back(targets.kernel->process_label(timed.process));
   }
-  if (targets.fault_plan != nullptr) {
-    SnapshotImage::FaultPlanState plan;
-    plan.seed = targets.fault_plan->seed();
-    for (std::size_t i = 0; i < sim::kFaultSiteCount; ++i) {
-      const auto site = static_cast<sim::FaultSite>(i);
-      plan.sites.emplace_back(site, targets.fault_plan->site_state(site));
-    }
-    out.fault_plan = std::move(plan);
-  }
+  if (targets.fault_plan != nullptr) out.fault_plan.emplace().capture(*targets.fault_plan);
   if (targets.recorder != nullptr) {
     out.recorder = SnapshotImage::RecorderState{targets.recorder->total_events(),
                                                 targets.recorder->log()};
   }
-  for (const MachineTarget& target : targets.machines) {
-    out.machines.push_back({target.name, target.instance->capture()});
-  }
-  for (const BusTarget& target : targets.buses) {
-    out.buses.push_back({target.name, target.bus->capture_checkpoint()});
-  }
-  for (const WatchdogTarget& target : targets.watchdogs) {
-    out.watchdogs.push_back({target.name, target.watchdog->capture_checkpoint()});
-  }
-  for (const SupervisorTarget& target : targets.supervisors) {
-    out.supervisors.push_back({target.name, target.supervisor->capture_checkpoint()});
-  }
-  for (const BreakerTarget& target : targets.breakers) {
-    out.breakers.push_back({target.name, target.breaker->capture_checkpoint()});
-  }
-  for (const HealthTarget& target : targets.health) {
-    out.health.push_back({target.name, target.registry->capture_checkpoint()});
-  }
-  for (const ValueBank& bank : targets.banks) {
-    auto& values = out.banks.emplace_back(bank.name).state;
-    for (const ValueBank::Field& field : bank.fields) values.emplace_back(field.key, *field.value);
-  }
+  for_each_named_section([&](SectionKind, auto targets_of, auto image_of, auto capture, auto) {
+    for (const auto& target : targets.*targets_of) {
+      capture(target, (out.*image_of).emplace_back(target.name).state);
+    }
+  });
   image = std::move(out);
   return true;
 }
@@ -213,6 +237,7 @@ bool apply_image(const SnapshotTargets& targets, const SnapshotImage& image,
                                std::to_string(targets.fault_plan->seed()));
     ok = false;
   }
+  if (image.fault_plan) ok = match_fault_sites(*image.fault_plan, sink) && ok;
   if (image.recorder.has_value() != (targets.recorder != nullptr)) {
     sink.error("snapshot", image.recorder
                                ? "snapshot has a <recorder> section but no recorder is registered"
@@ -220,29 +245,18 @@ bool apply_image(const SnapshotTargets& targets, const SnapshotImage& image,
     ok = false;
   }
 
-  std::vector<std::size_t> machine_order;
-  std::vector<std::size_t> bus_order;
-  std::vector<std::size_t> watchdog_order;
-  std::vector<std::size_t> supervisor_order;
-  std::vector<std::size_t> breaker_order;
-  std::vector<std::size_t> health_order;
-  std::vector<std::size_t> bank_order;
-  std::vector<std::pair<std::uint64_t*, std::uint64_t>> bank_writes;
-  ok = match_sections("machine", image.machines, targets.machines, machine_order, sink) && ok;
-  ok = match_sections("bus", image.buses, targets.buses, bus_order, sink) && ok;
-  ok = match_sections("watchdog", image.watchdogs, targets.watchdogs, watchdog_order, sink) &&
-       ok;
-  ok = match_sections("supervisor", image.supervisors, targets.supervisors, supervisor_order,
-                      sink) &&
-       ok;
-  ok = match_sections("breaker", image.breakers, targets.breakers, breaker_order, sink) && ok;
-  ok = match_sections("health", image.health, targets.health, health_order, sink) && ok;
-  ok = match_sections("bank", image.banks, targets.banks, bank_order, sink) && ok;
-  if (!ok) return false;
-  for (std::size_t i = 0; i < targets.banks.size(); ++i) {
-    ok = match_bank_keys(targets.banks[i], image.banks[bank_order[i]].state, bank_writes,
-                         sink) &&
+  // Per named kind (indexed by SectionKind), the image index of each
+  // target's section.
+  std::array<std::vector<std::size_t>, static_cast<std::size_t>(kLastSectionKind) + 1> order;
+  for_each_named_section([&](SectionKind kind, auto targets_of, auto image_of, auto&&...) {
+    ok = match_sections(to_string(kind), image.*image_of, targets.*targets_of,
+                        order[static_cast<std::size_t>(kind)], sink) &&
          ok;
+  });
+  if (!ok) return false;
+  const std::vector<std::size_t>& bank_order = order[static_cast<std::size_t>(SectionKind::kBank)];
+  for (std::size_t i = 0; i < targets.banks.size(); ++i) {
+    ok = match_bank_keys(targets.banks[i], image.banks[bank_order[i]].state, sink) && ok;
   }
   if (!ok) return false;
 
@@ -255,37 +269,15 @@ bool apply_image(const SnapshotTargets& targets, const SnapshotImage& image,
       targets.fault_plan->restore_site_state(site, state);
     }
   }
-  for (std::size_t i = 0; i < targets.machines.size(); ++i) {
-    if (!targets.machines[i].instance->restore(image.machines[machine_order[i]].state, sink)) {
-      return false;
+  for_each_named_section([&](SectionKind kind, auto targets_of, auto image_of, auto,
+                             auto restore) {
+    const auto& list = targets.*targets_of;
+    for (std::size_t i = 0; ok && i < list.size(); ++i) {
+      ok = restore(list[i], (image.*image_of)[order[static_cast<std::size_t>(kind)][i]].state,
+                   sink);
     }
-  }
-  for (std::size_t i = 0; i < targets.buses.size(); ++i) {
-    targets.buses[i].bus->restore_checkpoint(image.buses[bus_order[i]].state);
-  }
-  for (std::size_t i = 0; i < targets.watchdogs.size(); ++i) {
-    targets.watchdogs[i].watchdog->restore_checkpoint(
-        image.watchdogs[watchdog_order[i]].state);
-  }
-  for (std::size_t i = 0; i < targets.supervisors.size(); ++i) {
-    if (!targets.supervisors[i].supervisor->restore_checkpoint(
-            image.supervisors[supervisor_order[i]].state, sink)) {
-      return false;
-    }
-  }
-  for (std::size_t i = 0; i < targets.breakers.size(); ++i) {
-    if (!targets.breakers[i].breaker->restore_checkpoint(image.breakers[breaker_order[i]].state,
-                                                         sink)) {
-      return false;
-    }
-  }
-  for (std::size_t i = 0; i < targets.health.size(); ++i) {
-    if (!targets.health[i].registry->restore_checkpoint(image.health[health_order[i]].state,
-                                                        sink)) {
-      return false;
-    }
-  }
-  for (const auto& [field, value] : bank_writes) *field = value;
+  });
+  if (!ok) return false;
   if (targets.recorder != nullptr) {
     targets.recorder->restore_log(image.recorder->events, image.recorder->total);
   }

@@ -55,34 +55,31 @@ namespace umlsoc::replay {
 /// payload hashes across files (same field sizes, same file lengths).
 inline constexpr int kSnapshotVersion = 5;
 
-struct MachineTarget {
-  std::string name;
-  statechart::Engine* instance = nullptr;
+/// Section kind tags (stable on-disk values). The kernel, fault-plan and
+/// recorder sections are singletons; every kind from kMachine on is a named
+/// section kind, listed once in for_each_named_section below.
+enum class SectionKind : std::uint8_t {
+  kKernel = 1,
+  kFaultPlan = 2,
+  kRecorder = 3,
+  kMachine = 4,
+  kBus = 5,
+  kWatchdog = 6,
+  kSupervisor = 7,
+  kBreaker = 8,
+  kHealth = 9,
+  kBank = 10,
 };
+inline constexpr SectionKind kLastSectionKind = SectionKind::kBank;
 
-struct BusTarget {
-  std::string name;
-  sim::MemoryMappedBus* bus = nullptr;
-};
+[[nodiscard]] std::string_view to_string(SectionKind kind);
 
-struct WatchdogTarget {
+/// One registered component of a named section kind. The name is the join
+/// key between a snapshot's section and a restoring process's target.
+template <typename T>
+struct Target {
   std::string name;
-  sim::Watchdog* watchdog = nullptr;
-};
-
-struct SupervisorTarget {
-  std::string name;
-  sim::Supervisor* supervisor = nullptr;
-};
-
-struct BreakerTarget {
-  std::string name;
-  sim::CircuitBreaker* breaker = nullptr;
-};
-
-struct HealthTarget {
-  std::string name;
-  sim::HealthRegistry* registry = nullptr;
+  T* component = nullptr;
 };
 
 /// Named key/value section for components without first-class snapshot
@@ -107,12 +104,12 @@ struct SnapshotTargets {
   sim::Kernel* kernel = nullptr;
   sim::FaultPlan* fault_plan = nullptr;
   sim::EventRecorder* recorder = nullptr;
-  std::vector<MachineTarget> machines;
-  std::vector<BusTarget> buses;
-  std::vector<WatchdogTarget> watchdogs;
-  std::vector<SupervisorTarget> supervisors;
-  std::vector<BreakerTarget> breakers;
-  std::vector<HealthTarget> health;
+  std::vector<Target<statechart::Engine>> machines;
+  std::vector<Target<sim::MemoryMappedBus>> buses;
+  std::vector<Target<sim::Watchdog>> watchdogs;
+  std::vector<Target<sim::Supervisor>> supervisors;
+  std::vector<Target<sim::CircuitBreaker>> breakers;
+  std::vector<Target<sim::HealthRegistry>> health;
   std::vector<ValueBank> banks;
 };
 
@@ -120,7 +117,8 @@ struct SnapshotTargets {
 /// section order preserved. capture_image (via capture_kernel's refusal
 /// rules) and apply_image own the capture rules and the section/target
 /// matching; the binary codec (replay/binary.hpp) is a pure transcoder over
-/// this struct.
+/// this struct. The named sections sit in one vector per kind, in the
+/// order for_each_named_section lists the kinds.
 struct SnapshotImage {
   template <typename T>
   struct Named {
@@ -136,6 +134,16 @@ struct SnapshotImage {
   struct FaultPlanState {
     std::uint64_t seed = 0;
     std::vector<std::pair<sim::FaultSite, sim::FaultPlan::SiteState>> sites;
+
+    /// Every site of `plan`, in site order; reuses `sites`' storage.
+    void capture(const sim::FaultPlan& plan) {
+      seed = plan.seed();
+      sites.resize(sim::kFaultSiteCount);
+      for (std::size_t i = 0; i < sim::kFaultSiteCount; ++i) {
+        const auto site = static_cast<sim::FaultSite>(i);
+        sites[i] = {site, plan.site_state(site)};
+      }
+    }
   };
   std::optional<FaultPlanState> fault_plan;
 
@@ -156,12 +164,75 @@ struct SnapshotImage {
   std::vector<Named<BankValues>> banks;
 
   /// Sections the image would serialize (kernel + optionals + named ones).
-  [[nodiscard]] std::size_t section_count() const {
-    return 1 + (fault_plan ? 1 : 0) + (recorder ? 1 : 0) + machines.size() + buses.size() +
-           watchdogs.size() + supervisors.size() + breakers.size() + health.size() +
-           banks.size();
-  }
+  [[nodiscard]] std::size_t section_count() const;
 };
+
+/// The section table: every named section kind, once, in file order. Calls
+///
+///   fn(kind, targets_of, image_of, capture, restore)
+///
+/// per kind, where `targets_of` and `image_of` point to the kind's vectors
+/// in SnapshotTargets and SnapshotImage, `capture(target, state)` fills a
+/// section state from a live target, and `restore(target, state, sink)`
+/// writes one back, returning false on a component-level refusal.
+/// capture_image, apply_image, both binary encoders and the decoder walk
+/// this table; every diagnostic names the kind by to_string(kind).
+template <typename Fn>
+constexpr void for_each_named_section(Fn&& fn) {
+  using enum SectionKind;
+  const auto checkpoint = [](const auto& target, auto& state) {
+    state = target.component->capture_checkpoint();
+  };
+  const auto restore = [](const auto& target, const auto& state, support::DiagnosticSink&) {
+    target.component->restore_checkpoint(state);
+    return true;
+  };
+  const auto checked_restore = [](const auto& target, const auto& state,
+                                  support::DiagnosticSink& sink) {
+    return target.component->restore_checkpoint(state, sink);
+  };
+  fn(
+      kMachine, &SnapshotTargets::machines, &SnapshotImage::machines,
+      [](const auto& target, auto& state) { target.component->capture_into(state); },
+      [](const auto& target, const auto& state, support::DiagnosticSink& sink) {
+        return target.component->restore(state, sink);
+      });
+  fn(kBus, &SnapshotTargets::buses, &SnapshotImage::buses, checkpoint, restore);
+  fn(kWatchdog, &SnapshotTargets::watchdogs, &SnapshotImage::watchdogs, checkpoint, restore);
+  fn(kSupervisor, &SnapshotTargets::supervisors, &SnapshotImage::supervisors, checkpoint,
+     checked_restore);
+  fn(kBreaker, &SnapshotTargets::breakers, &SnapshotImage::breakers, checkpoint,
+     checked_restore);
+  fn(kHealth, &SnapshotTargets::health, &SnapshotImage::health, checkpoint, checked_restore);
+  fn(
+      kBank, &SnapshotTargets::banks, &SnapshotImage::banks,
+      [](const ValueBank& bank, SnapshotImage::BankValues& values) {
+        values.clear();
+        for (const ValueBank::Field& field : bank.fields) {
+          values.emplace_back(field.key, *field.value);
+        }
+      },
+      // apply_image has bound every stored key to exactly one field.
+      [](const ValueBank& bank, const SnapshotImage::BankValues& values,
+         support::DiagnosticSink&) {
+        for (const auto& [key, value] : values) {
+          for (const ValueBank::Field& field : bank.fields) {
+            if (field.key == key) {
+              *field.value = value;
+              break;
+            }
+          }
+        }
+        return true;
+      });
+}
+
+inline std::size_t SnapshotImage::section_count() const {
+  std::size_t count = 1 + (fault_plan ? 1 : 0) + (recorder ? 1 : 0);
+  for_each_named_section(
+      [&](SectionKind, auto, auto image_of, auto&&...) { count += (this->*image_of).size(); });
+  return count;
+}
 
 /// The snapshot refusal rules, shared by every capture path (capture_image
 /// and the streaming IncrementalEncoder): captures the kernel into

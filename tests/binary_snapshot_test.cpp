@@ -18,6 +18,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -331,6 +332,20 @@ void bump_tail(std::string& payload, std::size_t offset, int delta) {
   std::string field;
   put_le(field, value, width);
   payload.replace(at - width, width, field);
+}
+
+/// A fault-plan payload is a u64 seed and a u32 site count, then per site a
+/// u8 site tag, the u64 RNG state and six u64 counters.
+constexpr std::size_t kFaultPlanHeadBytes = 12;
+constexpr std::size_t kFaultSiteBytes = 1 + 7 * 8;
+
+/// Adds `delta` to the site count of a fault-plan payload.
+void bump_site_count(std::string& payload, int delta) {
+  std::size_t at = 8;
+  const std::uint64_t count = get_le(payload, at, 4) + static_cast<std::uint64_t>(delta);
+  std::string field;
+  put_le(field, count, 4);
+  payload.replace(8, 4, field);
 }
 
 template <typename Edit>
@@ -785,6 +800,22 @@ TEST_F(BinarySnapshotTest, HostileFilesReachTheirRejectPaths) {
        on_delta([](File& f) { f.frame(SectionKind::kHealth).flags = 2; }),
        "append frame on non-recorder section <health name='health'>"},
       {"no kernel target", {full}, "no kernel target registered", /*drop_kernel=*/true},
+      {"fault-plan section missing a site",
+       {rewrite(full,
+                [](File& f) {
+                  std::string& payload = f.frame(SectionKind::kFaultPlan).payload;
+                  payload.resize(payload.size() - kFaultSiteBytes);
+                  bump_site_count(payload, -1);
+                })},
+       "<fault-plan> section has no state for site 'crash'"},
+      {"fault-plan section repeating a site",
+       {rewrite(full,
+                [](File& f) {
+                  std::string& payload = f.frame(SectionKind::kFaultPlan).payload;
+                  payload += payload.substr(kFaultPlanHeadBytes, kFaultSiteBytes);
+                  bump_site_count(payload, 1);
+                })},
+       "<fault-plan> section lists site 'bus-read' twice"},
   };
   for (const Row& row : rows) {
     SCOPED_TRACE(row.name);
@@ -809,6 +840,66 @@ TEST_F(BinarySnapshotTest, HostileFilesReachTheirRejectPaths) {
     ASSERT_TRUE(capture_image(victim.targets(), after, sink)) << sink.str();
     EXPECT_EQ(image_to_binary(after), image_to_binary(before)) << "the victim was touched";
     EXPECT_EQ(victim.kernel.stats().snapshot.restores, 0u);
+  }
+}
+
+// Each named section kind reports a target without a section, a section
+// without a target and a repeated section under its own element name, and
+// refuses before the victim rig is touched.
+TEST_F(BinarySnapshotTest, EveryNamedKindNamesItselfInMatchDiagnostics) {
+  FullRig source(*machine_);
+  source.run(kMidRunPs);
+  support::DiagnosticSink sink;
+  SnapshotImage image;
+  ASSERT_TRUE(capture_image(source.targets(), image, sink)) << sink.str();
+
+  struct Kind {
+    std::string element;
+    std::string name;  // FullRig's section name for this kind.
+    std::function<void(SnapshotTargets&)> rename_target;
+    std::function<void(SnapshotImage&)> repeat_section;
+  };
+  const auto kind = [](std::string element, std::string name, auto targets_of, auto image_of) {
+    return Kind{std::move(element), std::move(name),
+                [targets_of](SnapshotTargets& t) { (t.*targets_of)[0].name = "other"; },
+                [image_of](SnapshotImage& i) { (i.*image_of).push_back((i.*image_of)[0]); }};
+  };
+  const Kind kinds[] = {
+      kind("machine", "rig", &SnapshotTargets::machines, &SnapshotImage::machines),
+      kind("bus", "mem", &SnapshotTargets::buses, &SnapshotImage::buses),
+      kind("watchdog", "rig", &SnapshotTargets::watchdogs, &SnapshotImage::watchdogs),
+      kind("supervisor", "soc", &SnapshotTargets::supervisors, &SnapshotImage::supervisors),
+      kind("breaker", "dma", &SnapshotTargets::breakers, &SnapshotImage::breakers),
+      kind("health", "health", &SnapshotTargets::health, &SnapshotImage::health),
+      kind("bank", "memory", &SnapshotTargets::banks, &SnapshotImage::banks),
+  };
+  for (const Kind& row : kinds) {
+    SCOPED_TRACE(row.element);
+    for (const bool repeat : {false, true}) {
+      FullRig victim(*machine_);
+      SnapshotTargets targets = victim.targets();
+      SnapshotImage edited = image;
+      std::vector<std::string> expected;
+      if (repeat) {
+        row.repeat_section(edited);
+        expected = {"duplicate <" + row.element + "> section '" + row.name + "'"};
+      } else {
+        row.rename_target(targets);
+        expected = {"no <" + row.element + "> section named 'other'",
+                    "<" + row.element + "> section '" + row.name + "' has no registered target"};
+      }
+      SnapshotImage before;
+      ASSERT_TRUE(capture_image(targets, before, sink)) << sink.str();
+
+      support::DiagnosticSink attempt;
+      EXPECT_FALSE(apply_image(targets, edited, attempt));
+      for (const std::string& message : expected) {
+        EXPECT_NE(attempt.str().find(message), std::string::npos) << attempt.str();
+      }
+      SnapshotImage after;
+      ASSERT_TRUE(capture_image(targets, after, sink)) << sink.str();
+      EXPECT_EQ(image_to_binary(after), image_to_binary(before)) << "the victim was touched";
+    }
   }
 }
 

@@ -312,6 +312,21 @@ TEST(ProcPool, NonzeroExitIsADeathNotALostResult) {
   EXPECT_GE(driver.stats().pool.deaths, 1u);
 }
 
+TEST(ProcPool, ShutdownDoesNotWaitOutTheHeartbeatInterval) {
+  // A worker whose next beat is a minute away must still exit as soon as
+  // it reads the shutdown frame, well inside the pool's 2 s kill deadline.
+  FleetConfig config = process_config(1);
+  config.heartbeat_interval_ms = 60000;
+  config.heartbeat_deadline_ms = 600000;
+  FleetDriver driver(config);
+  const std::vector<RigOutcome> outcomes =
+      driver.run_range(0, 1, [](const RigJob& job) { return run_mini_rig(job); });
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_TRUE(outcomes[0].ok) << outcomes[0].failure;
+  EXPECT_LT(driver.stats().wall_ns, 1'000'000'000u);
+  EXPECT_EQ(driver.stats().pool.deaths, 0u);
+}
+
 TEST(ProcPool, HeartbeatSilenceIsDetectedAndKilled) {
   FleetConfig config = process_config(2);
   config.heartbeat_interval_ms = 20;
