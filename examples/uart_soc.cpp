@@ -168,8 +168,8 @@ int run_degraded_demo(const soak::ModelBundle& bundle, soak::EngineChoice engine
   std::printf("\n--- degraded mode: breaker-guarded DMA, PIO fallback, supervision ---\n");
   // Exactly the first four DMA writes error, then clean.
   const soak::TrafficFaults faults{.error_rate = 1.0, .max_faults = 4};
-  soak::DegradedRig rig({*bundle.psm_uart, *bundle.psm_profile, bundle.link, bundle.base,
-                         faults, /*seed=*/7, sink, engine});
+  soak::DegradedRig rig({*bundle.psm_uart, *bundle.psm_profile, *bundle.link_program,
+                         bundle.base, faults, /*seed=*/7, sink, engine});
   rig.health.add_listener([&rig](sim::HealthRegistry::UnitId unit, sim::UnitHealth from,
                                  sim::UnitHealth to, std::string_view reason) {
     std::printf("  [%s] %s: %s -> %s (%.*s)\n", rig.kernel.now().str().c_str(),

@@ -183,6 +183,11 @@ constexpr void for_each_named_section(Fn&& fn) {
   const auto checkpoint = [](const auto& target, auto& state) {
     state = target.component->capture_checkpoint();
   };
+  // Components whose state holds buffers capture into the image's reused
+  // state instead of returning a fresh one.
+  const auto capture_into = [](const auto& target, auto& state) {
+    target.component->capture_into(state);
+  };
   const auto restore = [](const auto& target, const auto& state, support::DiagnosticSink&) {
     target.component->restore_checkpoint(state);
     return true;
@@ -192,18 +197,17 @@ constexpr void for_each_named_section(Fn&& fn) {
     return target.component->restore_checkpoint(state, sink);
   };
   fn(
-      kMachine, &SnapshotTargets::machines, &SnapshotImage::machines,
-      [](const auto& target, auto& state) { target.component->capture_into(state); },
+      kMachine, &SnapshotTargets::machines, &SnapshotImage::machines, capture_into,
       [](const auto& target, const auto& state, support::DiagnosticSink& sink) {
         return target.component->restore(state, sink);
       });
   fn(kBus, &SnapshotTargets::buses, &SnapshotImage::buses, checkpoint, restore);
   fn(kWatchdog, &SnapshotTargets::watchdogs, &SnapshotImage::watchdogs, checkpoint, restore);
-  fn(kSupervisor, &SnapshotTargets::supervisors, &SnapshotImage::supervisors, checkpoint,
+  fn(kSupervisor, &SnapshotTargets::supervisors, &SnapshotImage::supervisors, capture_into,
      checked_restore);
   fn(kBreaker, &SnapshotTargets::breakers, &SnapshotImage::breakers, checkpoint,
      checked_restore);
-  fn(kHealth, &SnapshotTargets::health, &SnapshotImage::health, checkpoint, checked_restore);
+  fn(kHealth, &SnapshotTargets::health, &SnapshotImage::health, capture_into, checked_restore);
   fn(
       kBank, &SnapshotTargets::banks, &SnapshotImage::banks,
       [](const ValueBank& bank, SnapshotImage::BankValues& values) {

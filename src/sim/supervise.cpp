@@ -77,10 +77,14 @@ std::string HealthRegistry::str() const {
 
 HealthRegistry::Checkpoint HealthRegistry::capture_checkpoint() const {
   Checkpoint out;
-  out.health.reserve(units_.size());
+  capture_into(out);
+  return out;
+}
+
+void HealthRegistry::capture_into(Checkpoint& out) const {
+  out.health.clear();
   for (const Unit& unit : units_) out.health.push_back(static_cast<std::uint8_t>(unit.health));
   out.transitions = transitions_;
-  return out;
 }
 
 bool HealthRegistry::restore_checkpoint(const Checkpoint& checkpoint,
@@ -554,22 +558,26 @@ std::string Supervisor::str() const {
 
 Supervisor::Checkpoint Supervisor::capture_checkpoint() const {
   Checkpoint out;
+  capture_into(out);
+  return out;
+}
+
+void Supervisor::capture_into(Checkpoint& out) const {
   out.suspended = suspended_;
   out.gave_up = gave_up_;
   out.give_up_reason = give_up_reason_;
   out.escalations = escalations_;
   out.window = window_;
-  out.children.reserve(children_.size());
+  out.children.clear();
   for (const Child& child : children_) {
     out.children.push_back(Checkpoint::ChildState{
         child.stats.failures, child.stats.restarts, child.stats.failed_restarts,
         child.stats.consecutive, child.last_failure_ps});
   }
-  out.pending.reserve(pending_.size());
+  out.pending.clear();
   for (const PendingRestart& entry : pending_) {
     out.pending.push_back(Checkpoint::PendingRestart{entry.due_ps, entry.child});
   }
-  return out;
 }
 
 bool Supervisor::restore_checkpoint(const Checkpoint& checkpoint,

@@ -109,6 +109,9 @@ class HealthRegistry {
     std::uint64_t transitions = 0;
   };
   [[nodiscard]] Checkpoint capture_checkpoint() const;
+  /// As capture_checkpoint(), but reuses `out`'s buffers (the live
+  /// checkpoint encoder captures into one scratch image per rung).
+  void capture_into(Checkpoint& out) const;
   bool restore_checkpoint(const Checkpoint& checkpoint, support::DiagnosticSink& sink);
 
  private:
@@ -415,6 +418,9 @@ class Supervisor {
     std::vector<PendingRestart> pending;  ///< Insertion (FIFO) order.
   };
   [[nodiscard]] Checkpoint capture_checkpoint() const;
+  /// As capture_checkpoint(), but reuses `out`'s buffers (the live
+  /// checkpoint encoder captures into one scratch image per rung).
+  void capture_into(Checkpoint& out) const;
   bool restore_checkpoint(const Checkpoint& checkpoint, support::DiagnosticSink& sink);
 
   /// The expectation label this supervisor holds while restarts are pending

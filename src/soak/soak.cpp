@@ -1,8 +1,10 @@
 #include "soak/soak.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <random>
+#include <string_view>
 
 #include "replay/recovery.hpp"
 #include "soc/validate.hpp"
@@ -41,33 +43,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// UartLink: Normal <-> Fallback on breaker_open/breaker_closed, Dead on
-/// supervisor_give_up. Every other supervision signal is absorbed
-/// internally so the soak's "zero unhandled errors" check is meaningful:
-/// a new signal name would surface as an unhandled error event.
-void build_link_machine(statechart::StateMachine& machine) {
-  statechart::Region& top = machine.top();
-  statechart::State& normal = top.add_state("Normal");
-  statechart::State& fallback = top.add_state("Fallback");
-  statechart::State& dead = top.add_state("Dead");
-  top.add_transition(top.add_initial(), normal);
-  top.add_transition(normal, fallback).set_trigger("breaker_open");
-  top.add_transition(fallback, normal).set_trigger("breaker_closed");
-  top.add_transition(normal, dead).set_trigger("supervisor_give_up");
-  top.add_transition(fallback, dead).set_trigger("supervisor_give_up");
-  for (const char* event :
-       {"watchdog_trip", "unit_restarted", "restart_failed", "supervisor_escalate"}) {
-    top.add_transition(normal, normal).set_trigger(event).set_internal(true);
-    top.add_transition(fallback, fallback).set_trigger(event).set_internal(true);
-    top.add_transition(dead, dead).set_trigger(event).set_internal(true);
-  }
-  top.add_transition(normal, normal).set_trigger("breaker_closed").set_internal(true);
-  top.add_transition(fallback, fallback).set_trigger("breaker_open").set_internal(true);
-  for (const char* event : {"breaker_open", "breaker_closed", "supervisor_give_up"}) {
-    top.add_transition(dead, dead).set_trigger(event).set_internal(true);
-  }
-}
-
 sim::RetryPolicy port_policy() {
   sim::RetryPolicy policy;
   policy.timeout = sim::SimTime::ns(100);
@@ -92,6 +67,15 @@ sim::RestartPolicy sup_policy() {
   policy.max_restarts = 8;
   policy.window = sim::SimTime::us(200);
   return policy;
+}
+
+/// A rig's own UartLink engine: a copy of the bundle's compiled program, or
+/// an interpreter over its machine.
+std::unique_ptr<statechart::Engine> make_link(const SoakSetup& setup) {
+  if (setup.engine == EngineChoice::kCompiled) {
+    return std::make_unique<statechart::CompiledMachine>(setup.link_program);
+  }
+  return make_engine(setup.link_program.machine(), setup.engine);
 }
 
 fs::path seed_dir_of(const fs::path& scratch, std::uint64_t seed) {
@@ -202,19 +186,6 @@ std::string finish_verified(DegradedRig& reference,
   if (!run_recovery_tail(twin)) return std::string(leg) + " rig never recovered";
   finish_run(twin);
   return compare_final_state(reference, twin, leg);
-}
-
-/// Writes a recorded event log as one "index at_ps label" line per event —
-/// the forensic artifact uploaded alongside a failing seed's ladder.
-void dump_event_log(const fs::path& path, const std::vector<sim::RecordedEvent>& log,
-                    const sim::Kernel& kernel) {
-  std::ofstream out(path);
-  std::uint64_t index = 0;
-  for (const sim::RecordedEvent& event : log) {
-    const std::string& label = kernel.process_label(event.process);
-    out << index++ << ' ' << event.at_ps << ' ' << event.process << ' '
-        << (label.empty() ? "?" : label) << '\n';
-  }
 }
 
 /// The legs of one seed. Returns an empty string on success, else the
@@ -521,6 +492,33 @@ std::string run_seed(const ModelBundle& bundle, EngineChoice engine, const fleet
 
 }  // namespace
 
+/// UartLink: Normal <-> Fallback on breaker_open/breaker_closed, Dead on
+/// supervisor_give_up. Every other supervision signal is absorbed
+/// internally so the soak's "zero unhandled errors" check is meaningful:
+/// a new signal name would surface as an unhandled error event.
+void build_link_machine(statechart::StateMachine& machine) {
+  statechart::Region& top = machine.top();
+  statechart::State& normal = top.add_state("Normal");
+  statechart::State& fallback = top.add_state("Fallback");
+  statechart::State& dead = top.add_state("Dead");
+  top.add_transition(top.add_initial(), normal);
+  top.add_transition(normal, fallback).set_trigger("breaker_open");
+  top.add_transition(fallback, normal).set_trigger("breaker_closed");
+  top.add_transition(normal, dead).set_trigger("supervisor_give_up");
+  top.add_transition(fallback, dead).set_trigger("supervisor_give_up");
+  for (const char* event :
+       {"watchdog_trip", "unit_restarted", "restart_failed", "supervisor_escalate"}) {
+    top.add_transition(normal, normal).set_trigger(event).set_internal(true);
+    top.add_transition(fallback, fallback).set_trigger(event).set_internal(true);
+    top.add_transition(dead, dead).set_trigger(event).set_internal(true);
+  }
+  top.add_transition(normal, normal).set_trigger("breaker_closed").set_internal(true);
+  top.add_transition(fallback, fallback).set_trigger("breaker_open").set_internal(true);
+  for (const char* event : {"breaker_open", "breaker_closed", "supervisor_give_up"}) {
+    top.add_transition(dead, dead).set_trigger(event).set_internal(true);
+  }
+}
+
 bool build_model_bundle(ModelBundle& bundle, support::DiagnosticSink& sink) {
   // 1. PIM: reuse the Uart IP core from the library.
   bundle.library.add_standard_ips();
@@ -543,6 +541,7 @@ bool build_model_bundle(ModelBundle& bundle, support::DiagnosticSink& sink) {
   }
   if (!bundle.hw->memory_map.empty()) bundle.base = bundle.hw->memory_map[0].base;
   build_link_machine(bundle.link);
+  bundle.link_program = statechart::compile(bundle.link, sink);
   return true;
 }
 
@@ -553,7 +552,7 @@ DegradedRig::DegradedRig(const SoakSetup& setup)
       dma_port(kernel, bus, "dma", port_policy()),
       pio_port(kernel, bus, "pio", port_policy()),
       breaker(kernel, dma_port, "dma", breaker_config()),
-      link(make_engine(setup.link_machine, setup.engine)),
+      link(make_link(setup)),
       sup(kernel, "soc", sim::RestartStrategy::kOneForOne, sup_policy()),
       watchdog(kernel, "link-dog", sim::SimTime::us(50)),
       base(setup.base) {
@@ -695,8 +694,8 @@ SoakSetup seed_setup(const ModelBundle& bundle, EngineChoice engine, const fleet
   const SoakTemplate& soak_template = kSoakTemplates[job.fault_template % kSoakTemplateCount];
   const TrafficFaults faults{.error_rate = soak_template.error_rate,
                              .drop_rate = soak_template.drop_rate};
-  return {*bundle.psm_uart, *bundle.psm_profile, bundle.link, bundle.base,
-          faults,           job.seed,            sink,        engine};
+  return {*bundle.psm_uart, *bundle.psm_profile, *bundle.link_program, bundle.base,
+          faults,           job.seed,            sink,                  engine};
 }
 
 replay::CheckpointStoreConfig handoff_store_config(const fs::path& scratch,
@@ -711,6 +710,31 @@ fleet::RigOutcome soak_one_seed(const ModelBundle& bundle, EngineChoice engine,
   outcome.failure = run_seed(bundle, engine, job, scratch, outcome);
   outcome.ok = outcome.failure.empty();
   return outcome;
+}
+
+void dump_event_log(const fs::path& path, const std::vector<sim::RecordedEvent>& log,
+                    const sim::Kernel& kernel) {
+  std::string text;
+  text.reserve(log.size() * 40);
+  const auto number = [&text](std::uint64_t value) {
+    char digits[20];
+    const char* end = std::to_chars(digits, digits + sizeof digits, value).ptr;
+    text.append(digits, static_cast<std::size_t>(end - digits));
+    text.push_back(' ');
+  };
+  std::uint64_t index = 0;
+  for (const sim::RecordedEvent& event : log) {
+    number(index++);
+    number(event.at_ps);
+    number(event.process);
+    const std::string& label = kernel.process_label(event.process);
+    text += label.empty() ? std::string_view("?") : std::string_view(label);
+    text.push_back('\n');
+  }
+  if (std::FILE* out = std::fopen(path.c_str(), "wb")) {
+    std::fwrite(text.data(), 1, text.size(), out);
+    std::fclose(out);
+  }
 }
 
 fs::path failure_dir(std::uint64_t seed) {

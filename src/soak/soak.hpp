@@ -44,6 +44,7 @@
 #include "sim/replay.hpp"
 #include "sim/supervise.hpp"
 #include "soc/iplibrary.hpp"
+#include "statechart/compile.hpp"
 #include "statechart/engine.hpp"
 #include "support/diagnostics.hpp"
 
@@ -69,7 +70,8 @@ enum class EngineChoice : std::uint8_t { kCompiled, kInterpreted };
 [[nodiscard]] replay::ValueBank module_bank(std::string name, codegen::HwModuleSim& module);
 
 /// The model-side flow every mode shares: IP library -> PIM -> hardware PSM
-/// -> codegen inputs, plus the UartLink machine the rig supervises.
+/// -> codegen inputs, plus the UartLink machine the rig supervises and its
+/// compiled program.
 struct ModelBundle {
   soc::IpLibrary library;
   uml::Model pim{"UartSoc"};
@@ -78,9 +80,19 @@ struct ModelBundle {
   std::optional<soc::SocProfile> psm_profile;
   std::uint64_t base = 0x40000000;
   statechart::StateMachine link{"UartLink"};
+  /// `link` compiled once per bundle: every rig on the compiled engine
+  /// copies its own engine from this prototype (same tables, fresh
+  /// execution state). It is never started or dispatched, so fleet threads
+  /// only read it and forked workers inherit it.
+  std::unique_ptr<statechart::CompiledMachine> link_program;
 };
 
 bool build_model_bundle(ModelBundle& bundle, support::DiagnosticSink& sink);
+
+/// Builds the UartLink machine into `machine` (empty): Normal <-> Fallback
+/// on breaker_open/breaker_closed, Dead on supervisor_give_up, every other
+/// supervision signal absorbed by an internal transition.
+void build_link_machine(statechart::StateMachine& machine);
 
 struct TrafficFaults {
   double error_rate = 0.0;
@@ -114,7 +126,9 @@ inline constexpr std::uint32_t kSoakTemplateCount =
 struct SoakSetup {
   const uml::Component& psm_uart;
   const soc::SocProfile& profile;
-  const statechart::StateMachine& link_machine;
+  /// The bundle's compiled UartLink: copied by a rig on the compiled
+  /// engine; the interpreted engine runs its machine().
+  const statechart::CompiledMachine& link_program;
   std::uint64_t base;
   TrafficFaults faults;
   std::uint64_t seed;
@@ -225,6 +239,13 @@ inline constexpr std::uint64_t kFirstSeed = 1000;  ///< The first seed of every 
 /// Returns the outcomes in seed order.
 std::vector<fleet::RigOutcome> run_soak(fleet::FleetDriver& driver, const ModelBundle& bundle,
                                         EngineChoice engine, std::uint64_t seed_count);
+
+/// Writes a recorded event log as one "index at_ps process label" line per
+/// event ("?" for an unlabeled process), formatted into one buffer and
+/// written at once: the forensic artifact uploaded alongside a failing
+/// seed's ladder. A file that cannot be opened is skipped silently.
+void dump_event_log(const std::filesystem::path& path,
+                    const std::vector<sim::RecordedEvent>& log, const sim::Kernel& kernel);
 
 /// Where a failing seed's ladders and event logs are preserved:
 /// ./chaos-soak-failure/seed-N (the CI artifact).

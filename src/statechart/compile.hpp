@@ -92,6 +92,17 @@ class CompiledMachine final : public Engine {
     bool defer_if_unfired = false;
   };
 
+  /// A second engine over the same machine: copies the plan tables (with
+  /// every lazily added configuration and plan) and the execution state,
+  /// state listener included. A copy shares no mutable state with its
+  /// source and extends its own tables from then on. Copying a compiled,
+  /// never-started engine is the cheap way to get many fresh engines for
+  /// one machine: compile once, copy per instance (the soak's rigs do).
+  /// Copying reads the source only, so threads may copy one shared,
+  /// never-dispatched prototype concurrently.
+  CompiledMachine(const CompiledMachine&) = default;
+  CompiledMachine& operator=(const CompiledMachine&) = delete;
+
   // --- Engine interface ------------------------------------------------------
 
   [[nodiscard]] const StateMachine& machine() const override { return *tables_.machine; }

@@ -9,9 +9,14 @@
 //    — identical configurations, history memory, variables, emitted/deferred
 //    events and all four counters, under ordinary and error-channel
 //    dispatch — and the same state-listener calls and entry/exit/effect
-//    behavior runs, in the same order, per dispatch.
+//    behavior runs, in the same order, per dispatch;
+//  * a copy of a compiled, never-started prototype vs a freshly compiled
+//    engine, by the same lockstep harness, on the soak's UartLink machine
+//    and on machines whose tables grow at run time; copies of one
+//    prototype stay independent of each other and of the prototype.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 
@@ -19,6 +24,7 @@
 #include "statechart/flatten.hpp"
 #include "statechart/interpreter.hpp"
 #include "statechart/synthetic.hpp"
+#include "soak/soak.hpp"
 #include "statechart/validate.hpp"
 #include "support/rng.hpp"
 #include "verify/explore.hpp"
@@ -126,61 +132,76 @@ void instrument(Region& region, const std::shared_ptr<BehaviorLogs>& logs) {
   }
 }
 
-/// Runs both engines over `machine` in lockstep: every event in `stream` is
-/// dispatched to both (through the error channel when `error` is set). After
-/// every single dispatch the full snapshots must match, and so must the
-/// state-listener calls and the behavior runs (instrument() wraps the
+using EngineFactory = std::function<std::unique_ptr<Engine>(const StateMachine&)>;
+
+std::unique_ptr<Engine> interpreted(const StateMachine& machine) {
+  auto engine = std::make_unique<StateMachineInstance>(machine);
+  engine->set_trace_enabled(false);
+  return engine;
+}
+
+std::unique_ptr<Engine> freshly_compiled(const StateMachine& machine) {
+  support::DiagnosticSink sink;
+  return compile(machine, sink);
+}
+
+/// Runs two engines over `machine` in lockstep — by default the reference
+/// interpreter and a freshly compiled engine: every event in `stream` is
+/// dispatched to both (through the error channel when `error` is set).
+/// After every single dispatch the full snapshots must match, and so must
+/// the state-listener calls and the behavior runs (instrument() wraps the
 /// machine's behaviors), in order.
-void run_lockstep(StateMachine& machine, const std::vector<StreamEntry>& stream) {
+void run_lockstep(StateMachine& machine, const std::vector<StreamEntry>& stream,
+                  const EngineFactory& make_reference = interpreted,
+                  const EngineFactory& make_subject = freshly_compiled) {
   auto logs = std::make_shared<BehaviorLogs>();
   instrument(machine.top(), logs);
   std::vector<std::string> reference_calls;
-  std::vector<std::string> compiled_calls;
-  support::DiagnosticSink compile_sink;
-  auto compiled = compile(machine, compile_sink);
-  ASSERT_NE(compiled, nullptr) << compile_sink.str();
+  std::vector<std::string> subject_calls;
+  const std::unique_ptr<Engine> reference = make_reference(machine);
+  const std::unique_ptr<Engine> subject = make_subject(machine);
+  ASSERT_NE(reference, nullptr);
+  ASSERT_NE(subject, nullptr);
 
-  StateMachineInstance interpreter(machine);
-  interpreter.set_trace_enabled(false);
   const auto listen = [](std::vector<std::string>& calls) {
     return [&calls](const State& state, bool entered) {
       calls.push_back((entered ? "+" : "-") + state.name());
     };
   };
-  interpreter.set_state_listener(listen(reference_calls));
-  compiled->set_state_listener(listen(compiled_calls));
-  std::vector<std::string>& reference_runs = (*logs)[&interpreter];
-  std::vector<std::string>& compiled_runs = (*logs)[compiled.get()];
+  reference->set_state_listener(listen(reference_calls));
+  subject->set_state_listener(listen(subject_calls));
+  std::vector<std::string>& reference_runs = (*logs)[reference.get()];
+  std::vector<std::string>& subject_runs = (*logs)[subject.get()];
   const auto expect_same_behavior = [&](const std::string& where) {
-    EXPECT_EQ(reference_calls, compiled_calls) << where << ": state listener calls";
-    EXPECT_EQ(reference_runs, compiled_runs) << where << ": behavior runs";
+    EXPECT_EQ(reference_calls, subject_calls) << where << ": state listener calls";
+    EXPECT_EQ(reference_runs, subject_runs) << where << ": behavior runs";
     reference_calls.clear();
-    compiled_calls.clear();
+    subject_calls.clear();
     reference_runs.clear();
-    compiled_runs.clear();
+    subject_runs.clear();
   };
 
-  interpreter.start();
-  compiled->start();
-  expect_snapshots_equal(interpreter.capture(), compiled->capture(),
+  reference->start();
+  subject->start();
+  expect_snapshots_equal(reference->capture(), subject->capture(),
                          machine.name() + " after start");
   expect_same_behavior(machine.name() + " after start");
 
   for (std::size_t step = 0; step < stream.size(); ++step) {
     const StreamEntry& entry = stream[step];
     bool reference_fired = false;
-    bool compiled_fired = false;
+    bool subject_fired = false;
     if (entry.error) {
-      reference_fired = interpreter.dispatch_error(entry.event);
-      compiled_fired = compiled->dispatch_error(entry.event);
+      reference_fired = reference->dispatch_error(entry.event);
+      subject_fired = subject->dispatch_error(entry.event);
     } else {
-      reference_fired = interpreter.dispatch(entry.event);
-      compiled_fired = compiled->dispatch(entry.event);
+      reference_fired = reference->dispatch(entry.event);
+      subject_fired = subject->dispatch(entry.event);
     }
     const std::string where = machine.name() + " step " + std::to_string(step) + " event " +
                               entry.event.name + (entry.error ? " (error channel)" : "");
-    ASSERT_EQ(reference_fired, compiled_fired) << where;
-    expect_snapshots_equal(interpreter.capture(), compiled->capture(), where);
+    ASSERT_EQ(reference_fired, subject_fired) << where;
+    expect_snapshots_equal(reference->capture(), subject->capture(), where);
     expect_same_behavior(where);
   }
 }
@@ -613,6 +634,97 @@ TEST(CompiledDifferential, ReplayedCounterexamplesMatchAcrossEngines) {
   // Both engines land on the violating state the verifier reported.
   EXPECT_TRUE(interpreter.is_in("Fault"));
   EXPECT_TRUE(compiled->is_in("Fault"));
+}
+
+// --- Copies of one compiled prototype -----------------------------------------------
+
+/// A copy of a compiled, never-started prototype: how each soak rig takes
+/// its link engine from the bundle's program.
+std::unique_ptr<Engine> copied_from_prototype(const StateMachine& machine) {
+  support::DiagnosticSink sink;
+  const std::unique_ptr<CompiledMachine> prototype = compile(machine, sink);
+  return std::make_unique<CompiledMachine>(*prototype);
+}
+
+TEST(CompiledCopy, UartLinkRunsInLockstepWithFreshCompile) {
+  // The rig raises every supervision signal on the error channel; "noise"
+  // is no trigger of the machine, so its plans are built at run time.
+  const std::vector<std::string> signals = {
+      "breaker_open",   "breaker_closed",  "watchdog_trip",       "unit_restarted",
+      "restart_failed", "supervisor_escalate", "noise"};
+  StateMachine live("UartLink");
+  soak::build_link_machine(live);
+  run_lockstep(live, random_stream(20, signals, 400, 0.9), freshly_compiled,
+               copied_from_prototype);
+
+  // With the give-up signal, runs end in Dead, which absorbs everything.
+  std::vector<std::string> with_give_up = signals;
+  with_give_up.push_back("supervisor_give_up");
+  StateMachine dying("UartLink");
+  soak::build_link_machine(dying);
+  run_lockstep(dying, random_stream(21, with_give_up, 200, 0.9), freshly_compiled,
+               copied_from_prototype);
+}
+
+TEST(CompiledCopy, LazilyExtendedMachinesRunInLockstepWithFreshCompile) {
+  // Guards, history entries, deferral and choice paths lie outside the
+  // compile-time seeding, as do event names that trigger nothing: a copy
+  // builds those plans in its own tables as it runs.
+  auto uart = make_uart_style_machine();
+  run_lockstep(*uart, random_stream(99, {"tx", "ack", "nak", "bus_error", "reset", "noise"},
+                                    600, 0.2),
+               freshly_compiled, copied_from_prototype);
+  auto history = make_history_machine();
+  run_lockstep(*history,
+               random_stream(42, {"on", "off", "adv", "inner", "pause", "resume", "noise"}, 600),
+               freshly_compiled, copied_from_prototype);
+  auto defer = make_defer_machine();
+  run_lockstep(*defer, random_stream(7, {"req", "done", "lock", "unlock", "noise"}, 600),
+               freshly_compiled, copied_from_prototype);
+  auto choices = make_choice_shapes_machine();
+  run_lockstep(*choices, random_stream(17, {"val", "go", "tick", "noise"}, 600, 0.1),
+               freshly_compiled, copied_from_prototype);
+  for (const std::uint64_t seed : {1, 5, 21, 144}) {
+    auto random = make_random_hierarchical_machine(seed, 3, 4, 4);
+    run_lockstep(*random,
+                 random_stream(seed * 977 + 13, {"e0", "e1", "e2", "e3", "e4", "noise"}, 500),
+                 freshly_compiled, copied_from_prototype);
+  }
+}
+
+TEST(CompiledCopy, DispatchIntoOneCopyLeavesAnotherUnchanged) {
+  auto machine = make_history_machine();
+  support::DiagnosticSink sink;
+  const std::unique_ptr<CompiledMachine> prototype = compile(*machine, sink);
+  const std::size_t seeded_plans = prototype->plan_table().size();
+  const std::size_t seeded_configs = prototype->configuration_count();
+
+  CompiledMachine busy(*prototype);
+  CompiledMachine idle(*prototype);
+  busy.start();
+  idle.start();
+  const InstanceSnapshot idle_before = idle.capture();
+  const std::uint32_t idle_config = idle.current_configuration();
+  const std::size_t idle_plans = idle.plan_table().size();
+  const std::size_t idle_configs = idle.configuration_count();
+
+  for (const StreamEntry& entry : random_stream(
+           42, {"on", "off", "adv", "inner", "pause", "resume", "noise"}, 300)) {
+    (void)busy.dispatch(entry.event);
+  }
+  ASSERT_GT(busy.transitions_fired(), 0u);
+  EXPECT_GT(busy.plan_table().size(), idle_plans) << "the busy copy extended its tables";
+
+  EXPECT_EQ(idle.capture(), idle_before);
+  EXPECT_EQ(idle.current_configuration(), idle_config);
+  EXPECT_EQ(idle.events_processed(), 0u);
+  EXPECT_EQ(idle.transitions_fired(), idle_before.transitions_fired);
+  EXPECT_EQ(idle.plan_table().size(), idle_plans);
+  EXPECT_EQ(idle.configuration_count(), idle_configs);
+
+  EXPECT_FALSE(prototype->started());
+  EXPECT_EQ(prototype->plan_table().size(), seeded_plans);
+  EXPECT_EQ(prototype->configuration_count(), seeded_configs);
 }
 
 }  // namespace
