@@ -5,6 +5,7 @@
 
 #include "activity/interpreter.hpp"
 #include "activity/synthetic.hpp"
+#include "support/strings.hpp"
 
 namespace {
 
@@ -62,7 +63,7 @@ void BM_PipelineSteadyState(benchmark::State& state) {
   ActivityNode& initial = activity.add_initial();
   previous = &initial;
   for (std::int64_t i = 0; i < state.range(0); ++i) {
-    ActivityNode& action = activity.add_action("a" + std::to_string(i));
+    ActivityNode& action = activity.add_action(support::numbered("a", i));
     const ActivityEdge& edge = activity.add_edge(*previous, action);
     if (first_edge == nullptr) first_edge = &edge;
     previous = &action;

@@ -5,6 +5,7 @@
 
 #include "asl/interpreter.hpp"
 #include "asl/parser.hpp"
+#include "support/strings.hpp"
 
 namespace {
 
@@ -14,7 +15,9 @@ using namespace umlsoc::asl;
 void BM_AslParse(benchmark::State& state) {
   std::string source;
   for (int i = 0; i < state.range(0); ++i) {
-    source += "x" + std::to_string(i) + " := " + std::to_string(i) + " * 3 + 1;";
+    source += support::numbered("x", i);
+    source += support::numbered(" := ", i);
+    source += " * 3 + 1;";
   }
   for (auto _ : state) {
     support::DiagnosticSink sink;

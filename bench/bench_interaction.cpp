@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "interaction/trace.hpp"
+#include "support/strings.hpp"
 
 namespace {
 
@@ -18,8 +19,8 @@ std::unique_ptr<Interaction> make_alt_tower(int depth) {
   Lifeline& b = diagram->add_lifeline("B");
   for (int i = 0; i < depth; ++i) {
     Fragment& alt = diagram->add_combined(InteractionOperator::kAlt);
-    alt.add_operand().add_message(a, b, "l" + std::to_string(i));
-    alt.add_operand().add_message(a, b, "r" + std::to_string(i));
+    alt.add_operand().add_message(a, b, support::numbered("l", i));
+    alt.add_operand().add_message(a, b, support::numbered("r", i));
   }
   return diagram;
 }
@@ -84,8 +85,8 @@ void BM_ConformParBlock(benchmark::State& state) {
   Fragment& par = diagram.add_combined(InteractionOperator::kPar);
   for (int op = 0; op < state.range(0); ++op) {
     Operand& operand = par.add_operand();
-    operand.add_message(a, b, "x" + std::to_string(op));
-    operand.add_message(a, b, "y" + std::to_string(op));
+    operand.add_message(a, b, support::numbered("x", op));
+    operand.add_message(a, b, support::numbered("y", op));
   }
   ConformanceChecker checker(diagram);
   Trace trace;

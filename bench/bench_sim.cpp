@@ -12,6 +12,7 @@
 #include "sim/replay.hpp"
 #include "sim/signal.hpp"
 #include "sim/supervise.hpp"
+#include "support/strings.hpp"
 
 namespace {
 
@@ -60,7 +61,7 @@ void BM_SignalChainDeltas(benchmark::State& state) {
   Kernel kernel;
   std::vector<std::unique_ptr<Signal<int>>> chain;
   for (int i = 0; i <= length; ++i) {
-    chain.push_back(std::make_unique<Signal<int>>(kernel, "s" + std::to_string(i), 0));
+    chain.push_back(std::make_unique<Signal<int>>(kernel, umlsoc::support::numbered("s", i), 0));
   }
   for (int i = 0; i < length; ++i) {
     Signal<int>* from = chain[static_cast<std::size_t>(i)].get();

@@ -24,6 +24,7 @@
 #include "sim/supervise.hpp"
 #include "statechart/interpreter.hpp"
 #include "statechart/model.hpp"
+#include "support/strings.hpp"
 
 namespace {
 
@@ -75,7 +76,7 @@ struct BenchRig {
         supervisor(kernel, "soc") {
     for (std::size_t i = 0; i < memory.size(); ++i) {
       memory[i] = 0x1000 + i;
-      memory_keys.push_back("w" + std::to_string(i));
+      memory_keys.push_back(support::numbered("w", i));
     }
     bus.map_device(
         "ram", 0x0, memory.size() * 8,
@@ -93,7 +94,7 @@ struct BenchRig {
       instance.set_trace_enabled(false);
       instance.start();
       for (int v = 0; v < 16; ++v) {
-        instance.set_variable("v" + std::to_string(v),
+        instance.set_variable(support::numbered("v", v),
                               static_cast<std::int64_t>(i * 16 + static_cast<std::size_t>(v)));
       }
     }
@@ -126,7 +127,7 @@ struct BenchRig {
     out.fault_plan = &plan;
     out.recorder = &recorder;
     for (std::size_t i = 0; i < instances.size(); ++i) {
-      out.machines.push_back({"m" + std::to_string(i), instances[i].get()});
+      out.machines.push_back({support::numbered("m", i), instances[i].get()});
     }
     out.buses.push_back({"mem", &bus});
     out.watchdogs.push_back({"dog", &watchdog});

@@ -9,6 +9,7 @@
 #include "statechart/flatten.hpp"
 #include "statechart/interpreter.hpp"
 #include "statechart/synthetic.hpp"
+#include "support/strings.hpp"
 
 namespace {
 
@@ -139,7 +140,7 @@ void BM_HistoryRestoration(benchmark::State& state) {
   Pseudostate& history = wr.add_pseudostate(VertexKind::kDeepHistory, "H");
   State* previous = nullptr;
   for (int i = 0; i < state.range(0); ++i) {
-    State& s = wr.add_state("s" + std::to_string(i));
+    State& s = wr.add_state(support::numbered("s", i));
     if (previous == nullptr) {
       wr.add_transition(winit, s);
     } else {

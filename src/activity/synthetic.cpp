@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "support/rng.hpp"
+#include "support/strings.hpp"
 
 namespace umlsoc::activity {
 
@@ -12,7 +13,7 @@ std::unique_ptr<Activity> make_sequential(std::size_t actions) {
   ActivityNode& initial = activity->add_initial();
   ActivityNode* previous = &initial;
   for (std::size_t i = 0; i < actions; ++i) {
-    ActivityNode& action = activity->add_action("a" + std::to_string(i));
+    ActivityNode& action = activity->add_action(support::numbered("a", i));
     activity->add_edge(*previous, action);
     previous = &action;
   }
@@ -35,7 +36,7 @@ std::unique_ptr<Activity> make_fork_join(std::size_t width, std::size_t depth) {
     ActivityNode* previous = &fork;
     for (std::size_t d = 0; d < depth; ++d) {
       ActivityNode& action =
-          activity->add_action("b" + std::to_string(w) + "_" + std::to_string(d));
+          activity->add_action(support::numbered(support::numbered("b", w) + "_", d));
       activity->add_edge(*previous, action);
       previous = &action;
     }
@@ -63,7 +64,7 @@ std::unique_ptr<Activity> make_series_parallel(std::uint64_t seed, std::size_t a
         }
         if (budget == 1 || rng.chance(0.6)) {
           // Series: head -> action -> (rest).
-          ActivityNode& action = activity->add_action("n" + std::to_string(created++));
+          ActivityNode& action = activity->add_action(support::numbered("n", created++));
           action.set_sw_latency(static_cast<double>(rng.range(1, 40)));
           action.set_hw_latency(static_cast<double>(rng.range(1, 8)));
           action.set_hw_area(static_cast<double>(rng.range(10, 500)));
@@ -73,9 +74,9 @@ std::unique_ptr<Activity> make_series_parallel(std::uint64_t seed, std::size_t a
         }
         // Parallel: head -> fork -> two branches -> join -> tail.
         ActivityNode& fork =
-            activity->add_node(NodeKind::kFork, "f" + std::to_string(fork_count));
+            activity->add_node(NodeKind::kFork, support::numbered("f", fork_count));
         ActivityNode& join =
-            activity->add_node(NodeKind::kJoin, "j" + std::to_string(fork_count));
+            activity->add_node(NodeKind::kJoin, support::numbered("j", fork_count));
         ++fork_count;
         activity->add_edge(head, fork);
         std::size_t left_budget = 1 + static_cast<std::size_t>(rng.below(budget - 1));

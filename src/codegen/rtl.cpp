@@ -11,16 +11,7 @@ namespace umlsoc::codegen {
 
 namespace {
 
-std::string hex(std::uint64_t value) {
-  if (value == 0) return "0";
-  const char* digits = "0123456789abcdef";
-  std::string out;
-  while (value != 0) {
-    out.insert(out.begin(), digits[value & 0xF]);
-    value >>= 4;
-  }
-  return out;
-}
+using support::to_hex;
 
 std::string range_of(int width) {
   if (width <= 1) return "       ";
@@ -109,7 +100,7 @@ std::string generate_rtl_module(const uml::Class& module, const soc::SocProfile&
 
   for (const RegisterInfo& reg : registers) {
     out += "  reg " + range_of(width) + " " + reg.verilog_name + ";  // @0x" +
-           hex(reg.address) + " (" + reg.access + ")\n";
+           to_hex(reg.address) + " (" + reg.access + ")\n";
   }
 
   if (!registers.empty()) {
@@ -122,7 +113,7 @@ std::string generate_rtl_module(const uml::Class& module, const soc::SocProfile&
     out += "    end else if (reg_wen) begin\n      case (reg_addr)\n";
     for (const RegisterInfo& reg : registers) {
       if (reg.access.find('w') == std::string::npos) continue;
-      out += "        " + std::to_string(width) + "'h" + hex(reg.address) + ": " +
+      out += "        " + std::to_string(width) + "'h" + to_hex(reg.address) + ": " +
              reg.verilog_name + " <= reg_wdata;\n";
     }
     out += "        default: ;\n      endcase\n    end\n  end\n";
@@ -130,7 +121,7 @@ std::string generate_rtl_module(const uml::Class& module, const soc::SocProfile&
     out += "\n  always @(*) begin\n    case (reg_addr)\n";
     for (const RegisterInfo& reg : registers) {
       if (reg.access.find('r') == std::string::npos) continue;
-      out += "      " + std::to_string(width) + "'h" + hex(reg.address) +
+      out += "      " + std::to_string(width) + "'h" + to_hex(reg.address) +
              ": reg_rdata = " + reg.verilog_name + ";\n";
     }
     out += "      default: reg_rdata = " + std::to_string(width) + "'d0;\n";
@@ -142,7 +133,7 @@ std::string generate_rtl_module(const uml::Class& module, const soc::SocProfile&
     out += "\n  always @(*) begin\n    case (reg_addr)\n";
     for (const RegisterInfo& reg : registers) {
       if (reg.access.find('r') == std::string::npos) continue;
-      out += "      " + std::to_string(width) + "'h" + hex(reg.address) +
+      out += "      " + std::to_string(width) + "'h" + to_hex(reg.address) +
              ": reg_error = 1'b0;\n";
     }
     out += "      default: reg_error = 1'b1;\n";
@@ -322,13 +313,13 @@ std::string generate_rtl_testbench(const uml::Class& module, const soc::SocProfi
     const bool writable = reg.access.find('w') != std::string::npos;
     if (readable && !writable) {
       // Reset-value check only.
-      out += "    read_check(32'h" + hex(reg.address) + ", 32'd" + reg.reset + ");  // " +
+      out += "    read_check(32'h" + to_hex(reg.address) + ", 32'd" + reg.reset + ");  // " +
              reg.verilog_name + " (r)\n";
     } else if (writable) {
-      out += "    write_reg(32'h" + hex(reg.address) + ", 32'h" + hex(pattern) + ");  // " +
+      out += "    write_reg(32'h" + to_hex(reg.address) + ", 32'h" + to_hex(pattern) + ");  // " +
              reg.verilog_name + "\n";
       if (readable) {
-        out += "    read_check(32'h" + hex(reg.address) + ", 32'h" + hex(pattern) + ");\n";
+        out += "    read_check(32'h" + to_hex(reg.address) + ", 32'h" + to_hex(pattern) + ");\n";
       }
       pattern = pattern * 3 + 7;
     }

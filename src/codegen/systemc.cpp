@@ -10,16 +10,7 @@ namespace umlsoc::codegen {
 
 namespace {
 
-std::string hex(std::uint64_t value) {
-  if (value == 0) return "0";
-  const char* digits = "0123456789abcdef";
-  std::string out;
-  while (value != 0) {
-    out.insert(out.begin(), digits[value & 0xF]);
-    value >>= 4;
-  }
-  return out;
-}
+using support::to_hex;
 
 const char* signal_cpp_type(const uml::Port& port) {
   if (port.width() <= 1) return "bool";
@@ -108,21 +99,21 @@ std::string generate_sim_module(const uml::Class& module, const soc::SocProfile&
   // Registers.
   for (const Reg& reg : registers) {
     out += "  std::uint32_t " + reg.name + " = " + reg.reset + ";  // @0x" +
-           hex(reg.address) + " (" + reg.access + ")\n";
+           to_hex(reg.address) + " (" + reg.access + ")\n";
   }
 
   // Decode methods.
   out += "\n  std::uint32_t read_reg(std::uint32_t addr) const {\n    switch (addr) {\n";
   for (const Reg& reg : registers) {
     if (reg.access.find('r') == std::string::npos) continue;
-    out += "      case 0x" + hex(reg.address) + ": return " + reg.name + ";\n";
+    out += "      case 0x" + to_hex(reg.address) + ": return " + reg.name + ";\n";
   }
   out += "      default: return 0;\n    }\n  }\n";
 
   out += "\n  void write_reg(std::uint32_t addr, std::uint32_t value) {\n    switch (addr) {\n";
   for (const Reg& reg : registers) {
     if (reg.access.find('w') == std::string::npos) continue;
-    out += "      case 0x" + hex(reg.address) + ": " + reg.name + " = value; break;\n";
+    out += "      case 0x" + to_hex(reg.address) + ": " + reg.name + " = value; break;\n";
   }
   out += "      default: break;\n    }\n  }\n";
 
@@ -135,7 +126,7 @@ std::string generate_sim_module(const uml::Class& module, const soc::SocProfile&
          "    switch (addr) {\n";
   for (const Reg& reg : registers) {
     if (reg.access.find('r') == std::string::npos) continue;
-    out += "      case 0x" + hex(reg.address) + ": value = " + reg.name +
+    out += "      case 0x" + to_hex(reg.address) + ": value = " + reg.name +
            "; return umlsoc::sim::BusStatus::kOk;\n";
   }
   out += "      default: value = 0; return umlsoc::sim::BusStatus::kError;\n    }\n  }\n";
@@ -144,7 +135,7 @@ std::string generate_sim_module(const uml::Class& module, const soc::SocProfile&
          "    switch (addr) {\n";
   for (const Reg& reg : registers) {
     if (reg.access.find('w') == std::string::npos) continue;
-    out += "      case 0x" + hex(reg.address) + ": " + reg.name +
+    out += "      case 0x" + to_hex(reg.address) + ": " + reg.name +
            " = value; return umlsoc::sim::BusStatus::kOk;\n";
   }
   out += "      default: return umlsoc::sim::BusStatus::kError;\n    }\n  }\n";

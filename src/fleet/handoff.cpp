@@ -1,109 +1,95 @@
 #include "fleet/handoff.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <type_traits>
+
+#include "support/bytes.hpp"
 
 namespace umlsoc::fleet {
 
 namespace {
+
+using support::ByteReader;
+using support::ByteWriter;
 
 constexpr std::uint32_t kFrameMagic = 0x55465031;  // "UFP1"
 constexpr std::size_t kHeaderSize = 4 + 1 + 4;
 constexpr std::uint32_t kMaxPayload = 16u << 20;  // Desync guard, not a real limit.
 constexpr std::uint32_t kResultVersion = 1;
 
-// Little-endian scalar writer/reader. The pipe never leaves the host, but a
-// fixed byte order keeps encoded results comparable as bytes (and the codec
-// testable against pinned vectors).
-void put_u32(std::string& out, std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<char>((value >> shift) & 0xFF));
-  }
+// Each payload layout is one two-way field walk (support/bytes.hpp) over the
+// values it carries: write_payload() encodes them, read_payload() decodes
+// them and accepts only a payload the walk consumes exactly. The pipe never
+// leaves the host, but a fixed byte order keeps encoded results comparable
+// as bytes (and the codec testable against pinned vectors).
+template <typename Walk, typename... Values>
+std::string write_payload(Walk walk, const Values&... values) {
+  std::string out;
+  ByteWriter writer(out);
+  walk(writer, values...);
+  return out;
 }
 
-void put_u64(std::string& out, std::uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<char>((value >> shift) & 0xFF));
-  }
+template <typename Walk, typename... Values>
+bool read_payload(std::string_view payload, Walk walk, Values&... values) {
+  ByteReader reader(payload);
+  walk(reader, values...);
+  return reader.exhausted();
 }
 
-void put_string(std::string& out, const std::string& value) {
-  put_u32(out, static_cast<std::uint32_t>(value.size()));
-  out += value;
-}
+constexpr auto kHelloFields = [](auto& io, auto& pid) { io.u64(pid); };
 
-class Cursor {
- public:
-  explicit Cursor(std::string_view data) : data_(data) {}
+constexpr auto kStartSeedFields = [](auto& io, auto& index, auto& attempt) {
+  io.u64(index);
+  io.u32(attempt);
+};
 
-  bool u8(std::uint8_t& value) {
-    if (offset_ + 1 > data_.size()) return fail();
-    value = static_cast<std::uint8_t>(data_[offset_++]);
-    return true;
-  }
-  bool u32(std::uint32_t& value) {
-    if (offset_ + 4 > data_.size()) return fail();
-    value = 0;
-    for (int shift = 0; shift < 32; shift += 8) {
-      value |= static_cast<std::uint32_t>(static_cast<unsigned char>(data_[offset_++]))
-               << shift;
-    }
-    return true;
-  }
-  bool u64(std::uint64_t& value) {
-    if (offset_ + 8 > data_.size()) return fail();
-    value = 0;
-    for (int shift = 0; shift < 64; shift += 8) {
-      value |= static_cast<std::uint64_t>(static_cast<unsigned char>(data_[offset_++]))
-               << shift;
-    }
-    return true;
-  }
-  bool str(std::string& value) {
-    std::uint32_t size = 0;
-    if (!u32(size)) return false;
-    if (offset_ + size > data_.size()) return fail();
-    value.assign(data_.data() + offset_, size);
-    offset_ += size;
-    return true;
-  }
-  [[nodiscard]] bool exhausted() const { return ok_ && offset_ == data_.size(); }
-  [[nodiscard]] bool ok() const { return ok_; }
-
- private:
-  bool fail() {
-    ok_ = false;
-    return false;
-  }
-  std::string_view data_;
-  std::size_t offset_ = 0;
-  bool ok_ = true;
+constexpr auto kAssignFields = [](auto& io, auto& grants) {
+  io.list(grants, [](auto& io, auto& grant) {
+    io.u64(grant.index);
+    io.u64(grant.seed);
+    io.u32(grant.attempt);
+    io.u32(grant.fault_template);
+  });
 };
 
 // Counter blocks travel as their fields in visit order (support/counters.hpp),
 // so the encode and decode sides can never drift from the structs.
-template <typename Block>
-void put_block(std::string& out, const Block& block) {
-  Block::fields([&out](support::CounterRule, const std::uint64_t& field) { put_u64(out, field); },
-                block);
+template <typename IO, typename Block>
+void block_fields(IO& io, Block& block) {
+  std::remove_const_t<Block>::fields(
+      [&io](support::CounterRule, auto& field) { io.u64(field); }, block);
 }
 
-template <typename Block>
-bool get_block(Cursor& cursor, Block& block) {
-  Block::fields([&cursor](support::CounterRule, std::uint64_t& field) { (void)cursor.u64(field); },
-                block);
-  return cursor.ok();
-}
+/// The version word comes first; a payload with another version still walks
+/// to its end, and decode_result refuses it.
+constexpr auto kResultFields = [](auto& io, auto& version, auto& index, auto& outcome) {
+  io.u32(version);
+  io.u64(index);
+  io.u64(outcome.seed);
+  io.boolean(outcome.ok);
+  io.str(outcome.failure);
+  io.u64(outcome.sim_time_ps);
+  io.u64(outcome.events_processed);
+  block_fields(io, outcome.slo);
+  block_fields(io, outcome.health);
+  block_fields(io, outcome.kernel);
+  io.u32(outcome.fault_template);
+  io.u64(outcome.wall_ns);
+  io.u32(outcome.attempts);
+  io.u64(outcome.resumed_from_seq);
+};
 
 }  // namespace
 
 std::string encode_frame(FrameType type, std::string_view payload) {
   std::string out;
   out.reserve(kHeaderSize + payload.size());
-  put_u32(out, kFrameMagic);
-  out.push_back(static_cast<char>(type));
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  out.append(payload.data(), payload.size());
+  ByteWriter writer(out);
+  writer.u32(kFrameMagic);
+  writer.u8(static_cast<std::uint8_t>(type));
+  writer.u32(static_cast<std::uint32_t>(payload.size()));
+  writer.bytes(payload);
   return out;
 }
 
@@ -120,11 +106,10 @@ void FrameReader::feed(const char* data, std::size_t size) {
 bool FrameReader::next(Frame& out) {
   if (corrupt_) return false;
   if (buffer_.size() - consumed_ < kHeaderSize) return false;
-  Cursor cursor(std::string_view(buffer_).substr(consumed_));
-  std::uint32_t magic = 0;
-  std::uint8_t type = 0;
-  std::uint32_t length = 0;
-  if (!cursor.u32(magic) || !cursor.u8(type) || !cursor.u32(length)) return false;
+  ByteReader header(std::string_view(buffer_).substr(consumed_, kHeaderSize));
+  const std::uint32_t magic = header.u32();
+  const std::uint8_t type = header.u8();
+  const std::uint32_t length = header.u32();
   if (magic != kFrameMagic || length > kMaxPayload ||
       type < static_cast<std::uint8_t>(FrameType::kHello) ||
       type > static_cast<std::uint8_t>(FrameType::kShutdown)) {
@@ -138,97 +123,37 @@ bool FrameReader::next(Frame& out) {
   return true;
 }
 
-std::string encode_hello(std::uint64_t pid) {
-  std::string out;
-  put_u64(out, pid);
-  return out;
-}
+std::string encode_hello(std::uint64_t pid) { return write_payload(kHelloFields, pid); }
 
 bool decode_hello(std::string_view payload, std::uint64_t& pid) {
-  Cursor cursor(payload);
-  return cursor.u64(pid) && cursor.exhausted();
+  return read_payload(payload, kHelloFields, pid);
 }
 
 std::string encode_start_seed(std::uint64_t index, std::uint32_t attempt) {
-  std::string out;
-  put_u64(out, index);
-  put_u32(out, attempt);
-  return out;
+  return write_payload(kStartSeedFields, index, attempt);
 }
 
 bool decode_start_seed(std::string_view payload, std::uint64_t& index,
                        std::uint32_t& attempt) {
-  Cursor cursor(payload);
-  return cursor.u64(index) && cursor.u32(attempt) && cursor.exhausted();
+  return read_payload(payload, kStartSeedFields, index, attempt);
 }
 
 std::string encode_assign(const std::vector<Grant>& grants) {
-  std::string out;
-  put_u32(out, static_cast<std::uint32_t>(grants.size()));
-  for (const Grant& grant : grants) {
-    put_u64(out, grant.index);
-    put_u64(out, grant.seed);
-    put_u32(out, grant.attempt);
-    put_u32(out, grant.fault_template);
-  }
-  return out;
+  return write_payload(kAssignFields, grants);
 }
 
 bool decode_assign(std::string_view payload, std::vector<Grant>& grants) {
-  Cursor cursor(payload);
-  std::uint32_t count = 0;
-  if (!cursor.u32(count)) return false;
-  grants.clear();
-  grants.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    Grant grant;
-    if (!cursor.u64(grant.index) || !cursor.u64(grant.seed) ||
-        !cursor.u32(grant.attempt) || !cursor.u32(grant.fault_template)) {
-      return false;
-    }
-    grants.push_back(grant);
-  }
-  return cursor.exhausted();
+  return read_payload(payload, kAssignFields, grants);
 }
 
 std::string encode_result(std::uint64_t index, const RigOutcome& outcome) {
-  std::string out;
-  put_u32(out, kResultVersion);
-  put_u64(out, index);
-  put_u64(out, outcome.seed);
-  out.push_back(outcome.ok ? 1 : 0);
-  put_string(out, outcome.failure);
-  put_u64(out, outcome.sim_time_ps);
-  put_u64(out, outcome.events_processed);
-  put_block(out, outcome.slo);
-  put_block(out, outcome.health);
-  put_block(out, outcome.kernel);
-  put_u32(out, outcome.fault_template);
-  put_u64(out, outcome.wall_ns);
-  put_u32(out, outcome.attempts);
-  put_u64(out, outcome.resumed_from_seq);
-  return out;
+  return write_payload(kResultFields, kResultVersion, index, outcome);
 }
 
 bool decode_result(std::string_view payload, std::uint64_t& index, RigOutcome& outcome) {
-  Cursor cursor(payload);
   std::uint32_t version = 0;
-  if (!cursor.u32(version) || version != kResultVersion) return false;
-  if (!cursor.u64(index)) return false;
-  outcome = RigOutcome{};
-  std::uint8_t ok = 0;
-  if (!cursor.u64(outcome.seed) || !cursor.u8(ok) || !cursor.str(outcome.failure) ||
-      !cursor.u64(outcome.sim_time_ps) || !cursor.u64(outcome.events_processed)) {
-    return false;
-  }
-  outcome.ok = ok != 0;
-  if (!get_block(cursor, outcome.slo) || !get_block(cursor, outcome.health) ||
-      !get_block(cursor, outcome.kernel) || !cursor.u32(outcome.fault_template) ||
-      !cursor.u64(outcome.wall_ns) || !cursor.u32(outcome.attempts) ||
-      !cursor.u64(outcome.resumed_from_seq)) {
-    return false;
-  }
-  return cursor.exhausted();
+  return read_payload(payload, kResultFields, version, index, outcome) &&
+         version == kResultVersion;
 }
 
 // --- HandoffLedger ------------------------------------------------------------

@@ -10,10 +10,12 @@
 // under a worker-side mutex (heartbeat thread and runner share the pipe),
 // so the parent never sees two messages interleaved; a worker killed
 // mid-write leaves at most one truncated frame at the end of the stream,
-// which FrameReader simply never completes. Every payload integer is
-// little-endian and the RigOutcome codec is versioned, so a result
-// round-trips bit-exactly — the property that keeps a process-isolated
-// fleet's report fingerprint identical to an in-process run.
+// which FrameReader simply never completes. Each payload layout is one
+// two-way field walk over support/bytes.hpp's ByteWriter and ByteReader,
+// so every integer is little-endian and encoder and decoder cannot drift;
+// the RigOutcome codec is versioned, so a result round-trips bit-exactly —
+// the property that keeps a process-isolated fleet's report fingerprint
+// identical to an in-process run.
 //
 // Ledger. HandoffLedger owns the at-most-once outcome accounting: every
 // seed moves Pending -> Assigned -> InFlight -> Done, a worker death

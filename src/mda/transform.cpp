@@ -334,23 +334,12 @@ class HardwareTransformer : public TransformerBase {
       if (!address.has_value()) address = next_free;
       next_free = std::max(next_free, *address + 4);
       property_copy.set_tagged_value(*psm_profile_.hw_register, "address",
-                                     "0x" + to_hex(*address));
+                                     "0x" + support::to_hex(*address));
     }
 
     for (const auto& operation : source.operations()) {
       copy_operation_into(*operation, module.add_operation(operation->name()));
     }
-  }
-
-  static std::string to_hex(std::uint64_t value) {
-    if (value == 0) return "0";
-    const char* digits = "0123456789abcdef";
-    std::string out;
-    while (value != 0) {
-      out.insert(out.begin(), digits[value & 0xF]);
-      value >>= 4;
-    }
-    return out;
   }
 
   void build_memory_map(const std::vector<Component*>& modules) {

@@ -1,13 +1,17 @@
 #include "replay/binary.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
-#include <cstring>
 #include <span>
 #include <type_traits>
 
+#include "support/bytes.hpp"
+
 namespace umlsoc::replay {
+
+using support::ByteReader;
+using support::ByteWriter;
+using support::Walked;
 
 namespace {
 
@@ -32,158 +36,6 @@ std::string to_hex(std::uint64_t value) {
   return std::string(buffer);
 }
 
-// --- primitive codecs (little-endian, memcpy) --------------------------------
-
-/// Appends little-endian fields to a caller-owned buffer, so encoders can
-/// reuse one buffer's capacity across checkpoints.
-class ByteWriter {
- public:
-  explicit ByteWriter(std::string& buffer) : buffer_(buffer) {}
-
-  void u8(std::uint8_t value) { buffer_.push_back(static_cast<char>(value)); }
-  void u16(std::uint16_t value) { raw(&value, sizeof value); }
-  void u32(std::uint32_t value) { raw(&value, sizeof value); }
-  void u64(std::uint64_t value) { raw(&value, sizeof value); }
-  void i64(std::int64_t value) { u64(std::bit_cast<std::uint64_t>(value)); }
-  void boolean(bool value) { u8(value ? 1 : 0); }
-  /// u32 length + bytes.
-  void str(std::string_view value) {
-    u32(static_cast<std::uint32_t>(value.size()));
-    bytes(value);
-  }
-  void bytes(std::string_view value) { buffer_.append(value); }
-  /// u32 count, then element(*this, item) per item.
-  template <typename T, typename Element>
-  void list(const std::vector<T>& items, Element element) {
-    u32(static_cast<std::uint32_t>(items.size()));
-    for (const T& item : items) element(*this, item);
-  }
-  /// One u8 holding an enumerator below `count`.
-  template <typename Enum>
-  void enumerated(Enum value, std::size_t /*count*/) {
-    u8(static_cast<std::uint8_t>(value));
-  }
-  /// Grows the buffer by `size` bytes and returns where they start, for
-  /// fixed-width runs filled with put().
-  char* extend(std::size_t size) {
-    const std::size_t at = buffer_.size();
-    buffer_.resize(at + size);
-    return buffer_.data() + at;
-  }
-
-  /// Stores `value` little-endian at `out` (no bounds check).
-  template <typename T>
-  static void put(char* out, T value) {
-    if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(out, &value, sizeof value);
-    } else {
-      for (std::size_t i = 0; i < sizeof value; ++i) {
-        out[i] = static_cast<char>(static_cast<std::uint64_t>(value) >> (8 * i));
-      }
-    }
-  }
-
- private:
-  void raw(const void* data, std::size_t size) {
-    if constexpr (std::endian::native == std::endian::little) {
-      buffer_.append(static_cast<const char*>(data), size);
-    } else {
-      const auto* first = static_cast<const unsigned char*>(data);
-      for (std::size_t i = size; i-- > 0;) buffer_.push_back(static_cast<char>(first[i]));
-    }
-  }
-
-  std::string& buffer_;
-};
-
-/// Bounds-checked reader. The first overrun latches `failed()`; subsequent
-/// reads return zero so decoders can run to completion and report once.
-/// Besides the value-returning reads, every field read has a by-reference
-/// twin with ByteWriter's name, so one field walk serves both directions.
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view data) : data_(data) {}
-
-  std::uint8_t u8() {
-    std::uint8_t value = 0;
-    raw(&value, 1);
-    return value;
-  }
-  std::uint16_t u16() {
-    std::uint16_t value = 0;
-    raw(&value, sizeof value);
-    return value;
-  }
-  std::uint32_t u32() {
-    std::uint32_t value = 0;
-    raw(&value, sizeof value);
-    return value;
-  }
-  std::uint64_t u64() {
-    std::uint64_t value = 0;
-    raw(&value, sizeof value);
-    return value;
-  }
-  std::int64_t i64() { return std::bit_cast<std::int64_t>(u64()); }
-  bool boolean() { return u8() != 0; }
-  std::string str() {
-    const std::uint32_t length = u32();
-    return std::string(bytes(length));
-  }
-  void u8(std::uint8_t& value) { value = u8(); }
-  void u32(std::uint32_t& value) { value = u32(); }
-  void u64(std::uint64_t& value) { value = u64(); }
-  void i64(std::int64_t& value) { value = i64(); }
-  void boolean(bool& value) { value = boolean(); }
-  void str(std::string& value) { value = str(); }
-  /// u32 count, then element(*this, item) per appended item, stopping at
-  /// the first overrun (a hostile count costs no more than the bytes read).
-  template <typename T, typename Element>
-  void list(std::vector<T>& items, Element element) {
-    const std::uint32_t count = u32();
-    for (std::uint32_t i = 0; i < count && !failed_; ++i) element(*this, items.emplace_back());
-  }
-  /// One u8 holding an enumerator; a value at or above `count` fails the read.
-  template <typename Enum>
-  void enumerated(Enum& value, std::size_t count) {
-    const std::uint8_t raw = u8();
-    if (raw >= count) failed_ = true;
-    value = static_cast<Enum>(raw);
-  }
-  std::string_view bytes(std::size_t size) {
-    if (failed_ || data_.size() - position_ < size) {
-      failed_ = true;
-      return {};
-    }
-    const std::string_view view = data_.substr(position_, size);
-    position_ += size;
-    return view;
-  }
-
-  [[nodiscard]] bool failed() const { return failed_; }
-  [[nodiscard]] std::size_t position() const { return position_; }
-  [[nodiscard]] std::size_t remaining() const { return failed_ ? 0 : data_.size() - position_; }
-  [[nodiscard]] bool exhausted() const { return !failed_ && position_ == data_.size(); }
-
- private:
-  void raw(void* out, std::size_t size) {
-    const std::string_view view = bytes(size);
-    if (view.size() != size) return;
-    if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(out, view.data(), size);
-    } else {
-      auto* first = static_cast<unsigned char*>(out);
-      for (std::size_t i = 0; i < size; ++i) {
-        first[i] = static_cast<unsigned char>(view[size - 1 - i]);
-      }
-    }
-  }
-
-  std::string_view data_;
-  std::size_t position_ = 0;
-  bool failed_ = false;
-};
-
 // --- section payload codecs ---------------------------------------------------
 // One field walk per section state, shared by both directions: `io` is a
 // ByteWriter when encoding and a ByteReader when decoding, and each call
@@ -192,10 +44,6 @@ class ByteReader {
 // assemble_image walks a fresh image while reading; all three therefore agree
 // on the bytes. The recorder section keeps its own codec below: the encoder
 // streams and patches it in place.
-
-/// `T` as a field walk sees it: read-only when encoding, filled when decoding.
-template <typename IO, typename T>
-using Walked = std::conditional_t<std::is_same_v<IO, ByteWriter>, const T, T>;
 
 /// `label_of(timed)` is the process label stored with each pending timed
 /// event: the string to write when encoding, the one to fill when decoding.
@@ -234,36 +82,17 @@ void fields(IO& io, Walked<IO, SnapshotImage::FaultPlanState>& plan) {
   });
 }
 
+/// The header (both flags, all four counters), then the configuration walk
+/// the verifier's state encoding shares.
 template <typename IO>
 void fields(IO& io, Walked<IO, statechart::InstanceSnapshot>& snapshot) {
-  const auto index = [](IO& io, auto& value) { io.u32(value); };
-  const auto event = [](IO& io, auto& record) {
-    io.str(record.name);
-    io.i64(record.data);
-    io.str(record.tag);
-  };
   io.boolean(snapshot.started);
   io.boolean(snapshot.terminated);
   io.u64(snapshot.events_processed);
   io.u64(snapshot.transitions_fired);
   io.u64(snapshot.errors_raised);
   io.u64(snapshot.errors_unhandled);
-  io.list(snapshot.active_states, index);
-  io.list(snapshot.active_finals, index);
-  io.list(snapshot.shallow_history, [](IO& io, auto& entry) {
-    io.u32(entry.first);
-    io.u32(entry.second);
-  });
-  io.list(snapshot.deep_history, [&](IO& io, auto& entry) {
-    io.u32(entry.first);
-    io.list(entry.second, index);
-  });
-  io.list(snapshot.variables, [](IO& io, auto& entry) {
-    io.str(entry.first);
-    io.i64(entry.second);
-  });
-  io.list(snapshot.queue, event);
-  io.list(snapshot.deferred, event);
+  statechart::configuration_fields(io, snapshot);
 }
 
 template <typename IO>

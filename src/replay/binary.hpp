@@ -4,9 +4,12 @@
 // The codec is a pure transcoder of SnapshotImage (replay/snapshot.hpp):
 // capture_image/apply_image own the refusal rules and the section/target
 // matching, this file owns bytes. Each section state's payload layout is
-// written once, as a two-way field walk that encodes through a writer and
-// decodes through a reader; the named section kinds come from the section
-// table (for_each_named_section). IncrementalEncoder streams the same
+// written once, as a two-way field walk that encodes through
+// support::ByteWriter and decodes through support::ByteReader
+// (support/bytes.hpp); a machine section is its flags and counters, then
+// statechart::configuration_fields, which the verifier's state encoding
+// shares. The named section kinds come from the section table
+// (for_each_named_section). IncrementalEncoder streams the same
 // section payloads straight from live state on the checkpoint hot path.
 //
 // File layout (all integers little-endian):

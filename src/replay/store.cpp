@@ -5,12 +5,13 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
 #include <cerrno>
 #include <charconv>
 #include <chrono>
 #include <limits>
 #include <system_error>
+
+#include "support/bytes.hpp"
 
 namespace umlsoc::replay {
 
@@ -29,36 +30,26 @@ struct RecordHeader {
   std::uint8_t flags = 0;
 };
 
-void put_le(char* out, std::uint64_t value, int bytes) {
-  for (int i = 0; i < bytes; ++i) out[i] = static_cast<char>(value >> (8 * i));
-}
-
-std::uint64_t get_le(const char* in, int bytes) {
-  std::uint64_t value = 0;
-  for (int i = bytes - 1; i >= 0; --i) value = value << 8 | static_cast<unsigned char>(in[i]);
-  return value;
-}
-
 /// Writes a kHeaderBytes record header to `out`.
 void encode_header(char* out, const RecordHeader& header) {
-  put_le(out, header.seq, 8);
-  put_le(out + 8, header.length, 4);
+  support::ByteWriter::put(out, header.seq);
+  support::ByteWriter::put(out + 8, header.length);
   out[12] = static_cast<char>(header.flags);
   out[13] = out[14] = out[15] = 0;
-  put_le(out + kChecksummedBytes, fnv1a(std::string_view(out, kChecksummedBytes)), 8);
+  support::ByteWriter::put(out + kChecksummedBytes,
+                           fnv1a(std::string_view(out, kChecksummedBytes)));
 }
 
 /// Parses the record header at the start of `data`; false when it is cut
 /// short or fails its checksum.
 bool decode_header(std::string_view data, RecordHeader& out) {
-  if (data.size() < kHeaderBytes) return false;
-  if (get_le(data.data() + kChecksummedBytes, 8) != fnv1a(data.substr(0, kChecksummedBytes))) {
-    return false;
-  }
-  out.seq = get_le(data.data(), 8);
-  out.length = static_cast<std::uint32_t>(get_le(data.data() + 8, 4));
-  out.flags = static_cast<std::uint8_t>(data[12]);
-  return true;
+  support::ByteReader in(data);
+  out.seq = in.u64();
+  out.length = in.u32();
+  out.flags = in.u8();
+  in.bytes(3);  // Zero padding.
+  const std::uint64_t checksum = in.u64();
+  return !in.failed() && checksum == fnv1a(data.substr(0, kChecksummedBytes));
 }
 
 /// Writes `head` then `body` at `offset` with one vectored pwrite (more

@@ -117,8 +117,9 @@ std::string FaultPlan::str() const {
   for (std::size_t i = 0; i < kFaultSiteCount; ++i) {
     const SiteCounters& counters = sites_[i].counters;
     if (counters.consults == 0) continue;
-    out += " " + std::string(to_string(static_cast<FaultSite>(i))) + "{consults=" +
-           std::to_string(counters.consults);
+    out += ' ';
+    out += to_string(static_cast<FaultSite>(i));
+    out += "{consults=" + std::to_string(counters.consults);
     if (counters.errors != 0) out += " errors=" + std::to_string(counters.errors);
     if (counters.drops != 0) out += " drops=" + std::to_string(counters.drops);
     if (counters.delays != 0) out += " delays=" + std::to_string(counters.delays);

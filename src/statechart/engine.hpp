@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "statechart/model.hpp"
+#include "support/bytes.hpp"
 #include "support/diagnostics.hpp"
 
 namespace umlsoc::statechart {
@@ -57,6 +58,38 @@ struct InstanceSnapshot {
 
   bool operator==(const InstanceSnapshot&) const = default;
 };
+
+/// The configuration of `snapshot` as one two-way field walk
+/// (support/bytes.hpp): active states, active finals, shallow and deep
+/// history, variables, then the queued and deferred events. The flags and
+/// counters are left to the caller: the snapshot file writes both flags
+/// and all four counters before this walk (replay/binary.cpp), the
+/// verifier one flags word and no counters (verify/statespace.cpp).
+template <typename IO>
+void configuration_fields(IO& io, support::Walked<IO, InstanceSnapshot>& snapshot) {
+  const auto index = [](IO& io, auto& value) { io.u32(value); };
+  const auto event = [](IO& io, auto& record) {
+    io.str(record.name);
+    io.i64(record.data);
+    io.str(record.tag);
+  };
+  io.list(snapshot.active_states, index);
+  io.list(snapshot.active_finals, index);
+  io.list(snapshot.shallow_history, [](IO& io, auto& entry) {
+    io.u32(entry.first);
+    io.u32(entry.second);
+  });
+  io.list(snapshot.deep_history, [&](IO& io, auto& entry) {
+    io.u32(entry.first);
+    io.list(entry.second, index);
+  });
+  io.list(snapshot.variables, [](IO& io, auto& entry) {
+    io.str(entry.first);
+    io.i64(entry.second);
+  });
+  io.list(snapshot.queue, event);
+  io.list(snapshot.deferred, event);
+}
 
 /// One executing state machine, independent of execution strategy.
 class Engine {

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "support/rng.hpp"
+#include "support/strings.hpp"
 
 namespace umlsoc::statechart {
 
@@ -14,7 +15,7 @@ std::unique_ptr<StateMachine> make_chain_machine(std::size_t states) {
 
   std::vector<State*> chain;
   for (std::size_t i = 0; i < states; ++i) {
-    chain.push_back(&top.add_state("s" + std::to_string(i)));
+    chain.push_back(&top.add_state(support::numbered("s", i)));
   }
   top.add_transition(initial, *chain.front());
   for (std::size_t i = 0; i < states; ++i) {
@@ -71,18 +72,18 @@ std::unique_ptr<StateMachine> make_orthogonal_machine(std::size_t regions,
   top.add_transition(initial, parallel);
 
   for (std::size_t r = 0; r < regions; ++r) {
-    Region& region = parallel.add_region("r" + std::to_string(r));
+    Region& region = parallel.add_region(support::numbered("r", r));
     Pseudostate& region_initial = region.add_initial();
     std::vector<State*> cycle;
     for (std::size_t s = 0; s < states_per_region; ++s) {
-      cycle.push_back(&region.add_state("q" + std::to_string(r) + "_" + std::to_string(s)));
+      cycle.push_back(&region.add_state(support::numbered(support::numbered("q", r) + "_", s)));
     }
     region.add_transition(region_initial, *cycle.front());
     for (std::size_t s = 0; s < states_per_region; ++s) {
       State& from = *cycle[s];
       State& to = *cycle[(s + 1) % states_per_region];
       region.add_transition(from, to).set_trigger("tick");
-      region.add_transition(from, to).set_trigger("r" + std::to_string(r));
+      region.add_transition(from, to).set_trigger(support::numbered("r", r));
     }
   }
   return machine;
@@ -102,10 +103,10 @@ std::unique_ptr<StateMachine> make_random_hierarchical_machine(std::uint64_t see
     Pseudostate& initial = region.add_initial();
     std::vector<State*> states;
     for (std::size_t i = 0; i < states_per_region; ++i) {
-      State& state = region.add_state("s" + std::to_string(name_counter++));
+      State& state = region.add_state(support::numbered("s", name_counter++));
       states.push_back(&state);
       if (depth < max_depth && rng.chance(0.4)) {
-        fill(state.add_region("r" + std::to_string(name_counter++)), depth + 1);
+        fill(state.add_region(support::numbered("r", name_counter++)), depth + 1);
       }
     }
     region.add_transition(initial, *states.front());
@@ -114,7 +115,7 @@ std::unique_ptr<StateMachine> make_random_hierarchical_machine(std::uint64_t see
       for (std::size_t e = 0; e < events; ++e) {
         if (!rng.chance(0.6)) continue;
         State& target = *states[static_cast<std::size_t>(rng.below(states.size()))];
-        region.add_transition(*state, target).set_trigger("e" + std::to_string(e));
+        region.add_transition(*state, target).set_trigger(support::numbered("e", e));
       }
     }
   };

@@ -1,5 +1,6 @@
 #include "support/strings.hpp"
 
+#include <algorithm>
 #include <cctype>
 
 namespace umlsoc::support {
@@ -151,6 +152,20 @@ bool is_identifier(std::string_view name) {
     if (!is_alnum(c) && c != '_') return false;
   }
   return true;
+}
+
+std::string numbered(std::string_view prefix, std::uint64_t n) {
+  std::string out(prefix);
+  out += std::to_string(n);
+  return out;
+}
+
+std::string to_hex(std::uint64_t value) {
+  if (value == 0) return "0";
+  std::string out;
+  for (; value != 0; value >>= 4) out += "0123456789abcdef"[value & 0xF];
+  std::reverse(out.begin(), out.end());
+  return out;
 }
 
 std::size_t count_nonempty_lines(std::string_view text) {

@@ -1,6 +1,7 @@
 // Small string utilities used by parsers, code generators and pretty-printers.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,6 +30,15 @@ namespace umlsoc::support {
 
 /// True when `name` is a legal C/Verilog-style identifier.
 [[nodiscard]] bool is_identifier(std::string_view name);
+
+/// `prefix` followed by the decimal digits of `n` ("s3"), for the names of
+/// generated model elements. Built by appending: GCC 12 at -O3 misreads
+/// `"s" + std::to_string(n)` as an overlapping copy (-Wrestrict).
+[[nodiscard]] std::string numbered(std::string_view prefix, std::uint64_t n);
+
+/// Lower-case hex digits of `value`, no prefix and no leading zeros ("0"
+/// for zero): register addresses in generated RTL, SystemC and PSMs.
+[[nodiscard]] std::string to_hex(std::uint64_t value);
 
 /// Counts '\n'-separated lines with at least one non-space character.
 [[nodiscard]] std::size_t count_nonempty_lines(std::string_view text);

@@ -6,10 +6,11 @@
 // encoding reuses PR 3's InstanceSnapshot capture — already canonical:
 // indices ascending, variables sorted — serialized to a compact binary
 // string *minus the monotonic counters* (events_processed and friends
-// would make every state unique and the search diverge). The encoding is
-// bidirectional: the explorer stores only encodings and decodes them back
-// into snapshots to re-seat the interpreters on a state before expanding
-// it.
+// would make every state unique and the search diverge): per instance a
+// u32 flags word, then statechart::configuration_fields, the walk the
+// snapshot file's machine section shares. The encoding is bidirectional:
+// the explorer stores only encodings and decodes them back into snapshots
+// to re-seat the interpreters on a state before expanding it.
 //
 // The StateStore is an open-addressing hash set over encodings keyed by a
 // 64-bit FNV-1a fingerprint. A fingerprint match is never trusted on its

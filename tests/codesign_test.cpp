@@ -4,6 +4,7 @@
 
 #include "activity/synthetic.hpp"
 #include "codesign/partition.hpp"
+#include "support/strings.hpp"
 
 namespace umlsoc::codesign {
 namespace {
@@ -180,7 +181,7 @@ TEST(Partition, AnnealingDeterministicPerSeed) {
 
 TEST(Partition, ExhaustiveRejectsLargeGraphs) {
   TaskGraph graph;
-  for (int i = 0; i < 25; ++i) graph.add_task({"t" + std::to_string(i), 1, 1, 1, nullptr});
+  for (int i = 0; i < 25; ++i) graph.add_task({support::numbered("t", i), 1, 1, 1, nullptr});
   EXPECT_THROW(partition_exhaustive(graph, CostModel{}), std::invalid_argument);
 }
 

@@ -4,6 +4,7 @@
 #include <algorithm>
 
 #include "interaction/trace.hpp"
+#include "support/strings.hpp"
 
 namespace umlsoc::interaction {
 namespace {
@@ -213,8 +214,8 @@ TEST(Interaction, EnumerationTruncatesAtCap) {
   // 2^10 alt combinations.
   for (int i = 0; i < 10; ++i) {
     Fragment& alt = diagram.add_combined(InteractionOperator::kAlt);
-    alt.add_operand().add_message(a, b, "l" + std::to_string(i));
-    alt.add_operand().add_message(a, b, "r" + std::to_string(i));
+    alt.add_operand().add_message(a, b, support::numbered("l", i));
+    alt.add_operand().add_message(a, b, support::numbered("r", i));
   }
   EnumerateOptions options;
   options.max_traces = 100;

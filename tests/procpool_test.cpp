@@ -135,6 +135,44 @@ TEST(HandoffCodec, DecodersRejectEveryTruncation) {
     std::vector<Grant> grants;
     EXPECT_FALSE(decode_assign(assign.substr(0, length), grants));
   }
+  // A grant count far beyond the payload is refused before any allocation.
+  std::vector<Grant> grants;
+  EXPECT_FALSE(decode_assign(std::string(4, '\xff'), grants));
+  EXPECT_FALSE(decode_assign(std::string(4, '\xff') + assign.substr(4), grants));
+}
+
+/// Lower-case hex of `bytes`, two digits a byte.
+std::string hex_of(std::string_view bytes) {
+  std::string out;
+  for (const char byte : bytes) {
+    out += "0123456789abcdef"[static_cast<unsigned char>(byte) >> 4];
+    out += "0123456789abcdef"[static_cast<unsigned char>(byte) & 0xF];
+  }
+  return out;
+}
+
+TEST(HandoffCodec, PayloadBytesMatchPinned) {
+  EXPECT_EQ(hex_of(encode_assign({Grant{9, 1009, 2, 3}, Grant{0, 1000, 0, 0}})),
+            "02000000"                                                  // count
+            "0900000000000000f103000000000000020000000300000000000000"  // grant 0
+            "00000000e8030000000000000000000000000000");                // grant 1
+  EXPECT_EQ(hex_of(encode_result(77, distinct_outcome())),
+            "010000004d00000000000000650000000000000000"  // version, index, seed, ok
+            "1400000073796e746865746963206661696c7572653a00ff"  // failure
+            "66000000000000006700000000000000"  // sim_time_ps, events_processed
+            "c800000000000000c900000000000000ca00000000000000cb00000000000000"  // slo, health,
+            "cc00000000000000cd00000000000000ce00000000000000cf00000000000000"  // kernel blocks
+            "d000000000000000d100000000000000d200000000000000d300000000000000"
+            "d400000000000000d500000000000000d600000000000000d700000000000000"
+            "d800000000000000d900000000000000da00000000000000db00000000000000"
+            "dc00000000000000dd00000000000000de00000000000000df00000000000000"
+            "e000000000000000e100000000000000e200000000000000e300000000000000"
+            "e400000000000000e500000000000000e600000000000000e700000000000000"
+            "e800000000000000e900000000000000ea00000000000000eb00000000000000"
+            "ec00000000000000ed00000000000000ee00000000000000ef00000000000000"
+            "f000000000000000f100000000000000"
+            // fault_template, wall_ns, attempts, resumed_from_seq
+            "03000000f20000000000000004000000f300000000000000");
 }
 
 TEST(HandoffCodec, AssignRoundTrips) {

@@ -27,6 +27,7 @@
 #include "soak/soak.hpp"
 #include "statechart/validate.hpp"
 #include "support/rng.hpp"
+#include "support/strings.hpp"
 #include "verify/explore.hpp"
 #include "verify/property.hpp"
 
@@ -60,7 +61,7 @@ TEST_P(Differential, InterpreterAgreesWithFlatExecutor) {
 
   support::Rng rng(seed * 977 + 13);
   for (int step = 0; step < 500; ++step) {
-    Event event{"e" + std::to_string(rng.below(5))};  // Incl. unknown "e4".
+    Event event{support::numbered("e", rng.below(5))};  // Incl. unknown "e4".
     bool interpreter_fired = interpreter.dispatch(event);
     bool executor_fired = executor.dispatch(event);
     ASSERT_EQ(interpreter_fired, executor_fired)
@@ -406,8 +407,8 @@ std::unique_ptr<StateMachine> make_deep_target_machine(std::size_t depth) {
   Region* region = &top;
   State* level = nullptr;
   for (std::size_t i = 0; i < depth; ++i) {
-    if (level != nullptr) region = &level->add_region("r" + std::to_string(i));
-    level = &region->add_state("L" + std::to_string(i));
+    if (level != nullptr) region = &level->add_region(support::numbered("r", i));
+    level = &region->add_state(support::numbered("L", i));
     if (region != &top) region->add_transition(region->add_initial(), *level);
   }
   top.add_transition(start, *level).set_trigger("dive");

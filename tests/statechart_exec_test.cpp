@@ -4,6 +4,7 @@
 
 #include "statechart/interpreter.hpp"
 #include "statechart/synthetic.hpp"
+#include "support/strings.hpp"
 
 namespace umlsoc::statechart {
 namespace {
@@ -701,7 +702,7 @@ std::unique_ptr<StateMachine> make_twin_region_machine() {
   top.add_transition(top.add_initial(), work);
   State& out = top.add_state("Out");
   for (int r = 0; r < 3; ++r) {
-    Region& region = work.add_region("r" + std::to_string(r));
+    Region& region = work.add_region(support::numbered("r", r));
     Pseudostate& initial = region.add_initial();
     State& ping = region.add_state("Ping");  // Same names in every region.
     State& pong = region.add_state("Pong");

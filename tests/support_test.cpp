@@ -1,6 +1,8 @@
-// Unit tests for the support module: strings, rng, graph, diagnostics, ids.
+// Unit tests for the support module: strings, rng, graph, diagnostics, ids,
+// and the little-endian byte codec.
 #include <gtest/gtest.h>
 
+#include "support/bytes.hpp"
 #include "support/diagnostics.hpp"
 #include "support/graph.hpp"
 #include "support/ids.hpp"
@@ -213,6 +215,138 @@ TEST(Diagnostics, CountsAndFormat) {
   sink.clear();
   EXPECT_FALSE(sink.has_errors());
   EXPECT_TRUE(sink.empty());
+}
+
+// --- Byte codec -----------------------------------------------------------------
+
+enum class Colour : std::uint8_t { kRed, kGreen, kBlue };
+constexpr std::size_t kColourCount = 3;
+
+TEST(Bytes, EveryPrimitiveRoundTrips) {
+  std::string buffer;
+  ByteWriter out(buffer);
+  out.u8(0xab);
+  out.u16(0x0102);
+  out.u32(0x01020304);
+  out.u64(0x0102030405060708ull);
+  out.i64(-5);
+  out.boolean(true);
+  out.boolean(false);
+  out.str(std::string("nul\0inside", 10));
+  out.bytes("raw");
+  out.list(std::vector<std::uint32_t>{7, 8}, [](ByteWriter& io, std::uint32_t v) { io.u32(v); });
+  out.enumerated(Colour::kBlue, kColourCount);
+  ByteWriter::put(out.extend(4), std::uint32_t{0x0a0b0c0d});
+  EXPECT_EQ(buffer.size(), 1 + 2 + 4 + 8 + 8 + 1 + 1 + (4 + 10) + 3 + (4 + 8) + 1 + 4u);
+  EXPECT_EQ(buffer.substr(3, 4), "\x04\x03\x02\x01");  // Little-endian.
+
+  ByteReader in(buffer);
+  EXPECT_EQ(in.u8(), 0xab);
+  EXPECT_EQ(in.u16(), 0x0102);
+  std::uint32_t u32 = 0;
+  in.u32(u32);
+  EXPECT_EQ(u32, 0x01020304u);
+  std::uint64_t u64 = 0;
+  in.u64(u64);
+  EXPECT_EQ(u64, 0x0102030405060708ull);
+  std::int64_t i64 = 0;
+  in.i64(i64);
+  EXPECT_EQ(i64, -5);
+  bool yes = false;
+  bool no = true;
+  in.boolean(yes);
+  in.boolean(no);
+  EXPECT_TRUE(yes);
+  EXPECT_FALSE(no);
+  std::string text;
+  in.str(text);
+  EXPECT_EQ(text, std::string("nul\0inside", 10));
+  EXPECT_EQ(in.bytes(3), "raw");
+  std::vector<std::uint32_t> list;
+  in.list(list, [](ByteReader& io, std::uint32_t& v) { io.u32(v); });
+  EXPECT_EQ(list, (std::vector<std::uint32_t>{7, 8}));
+  Colour colour = Colour::kRed;
+  in.enumerated(colour, kColourCount);
+  EXPECT_EQ(colour, Colour::kBlue);
+  EXPECT_EQ(in.u32(), 0x0a0b0c0du);
+  EXPECT_TRUE(in.exhausted());
+}
+
+TEST(Bytes, OverrunLatchesAndLaterReadsAreZero) {
+  ByteReader in(std::string_view("\x01\x02\x03", 3));
+  EXPECT_EQ(in.u32(), 0u);  // Three bytes cannot hold a u32.
+  EXPECT_TRUE(in.failed());
+  EXPECT_EQ(in.u8(), 0u);   // The bytes are there, but the latch holds.
+  std::string text = "kept?";
+  in.str(text);
+  EXPECT_EQ(text, "");
+  EXPECT_EQ(in.remaining(), 0u);
+  EXPECT_FALSE(in.exhausted());
+  ByteReader refused(std::string_view("\x01", 1));
+  refused.fail();
+  EXPECT_EQ(refused.u8(), 0u);
+}
+
+TEST(Bytes, ListRefusesCountAboveRemaining) {
+  std::string buffer;
+  ByteWriter out(buffer);
+  out.u32(5);
+  out.bytes("four");
+  const auto element = [](ByteReader& io, std::uint8_t& v) { io.u8(v); };
+  std::vector<std::uint8_t> items = {9};
+  ByteReader in(buffer);
+  in.list(items, element);
+  EXPECT_TRUE(in.failed());
+  EXPECT_EQ(items, std::vector<std::uint8_t>{9});  // Refused before resizing.
+
+  buffer += "!";  // Now exactly five one-byte elements follow the count.
+  ByteReader exact(buffer);
+  exact.list(items, element);
+  EXPECT_TRUE(exact.exhausted());
+  EXPECT_EQ(items.size(), 5u);
+
+  ByteReader hostile(std::string_view("\xff\xff\xff\xff", 4));
+  hostile.list(items, element);
+  EXPECT_TRUE(hostile.failed());
+}
+
+TEST(Bytes, ListIntoReusedTargetKeepsElementCapacity) {
+  std::string buffer;
+  ByteWriter out(buffer);
+  const std::vector<std::pair<std::string, std::vector<std::uint32_t>>> source = {
+      {"a", {1}}, {"b", {2, 3}}};
+  const auto walk = [](auto& io, auto& entry) {
+    io.str(entry.first);
+    io.list(entry.second, [](auto& io, auto& v) { io.u32(v); });
+  };
+  out.list(source, walk);
+
+  std::vector<std::pair<std::string, std::vector<std::uint32_t>>> target(2);
+  for (auto& [name, values] : target) {
+    name.reserve(64);
+    values.reserve(64);
+  }
+  const char* name_data = target[1].first.data();
+  const std::uint32_t* values_data = target[1].second.data();
+  ByteReader in(buffer);
+  in.list(target, walk);
+  ASSERT_TRUE(in.exhausted());
+  EXPECT_EQ(target, source);
+  EXPECT_EQ(target[1].first.data(), name_data);
+  EXPECT_GE(target[1].first.capacity(), 64u);
+  EXPECT_EQ(target[1].second.data(), values_data);
+  EXPECT_GE(target[1].second.capacity(), 64u);
+}
+
+TEST(Bytes, EnumeratedRefusesOutOfRange) {
+  Colour colour = Colour::kRed;
+  ByteReader last(std::string_view("\x02", 1));
+  last.enumerated(colour, kColourCount);
+  EXPECT_TRUE(last.exhausted());
+  EXPECT_EQ(colour, Colour::kBlue);
+  ByteReader beyond(std::string_view("\x03", 1));
+  beyond.enumerated(colour, kColourCount);
+  EXPECT_TRUE(beyond.failed());
 }
 
 }  // namespace

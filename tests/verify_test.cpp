@@ -146,6 +146,45 @@ TEST(VerifyEncoding, ExcludesMonotonicCounters) {
   EXPECT_EQ(encode_network({one.capture()}), encode_network({two.capture()}));
 }
 
+/// Lower-case hex of `bytes`, two digits a byte.
+std::string hex_of(std::string_view bytes) {
+  std::string out;
+  for (const char byte : bytes) {
+    out += "0123456789abcdef"[static_cast<unsigned char>(byte) >> 4];
+    out += "0123456789abcdef"[static_cast<unsigned char>(byte) & 0xF];
+  }
+  return out;
+}
+
+TEST(VerifyEncoding, NetworkBytesMatchPinned) {
+  // Every list non-empty; the counters are set to show they are not encoded.
+  statechart::InstanceSnapshot snapshot;
+  snapshot.started = true;
+  snapshot.active_states = {1, 4};
+  snapshot.active_finals = {6};
+  snapshot.shallow_history = {{0, 2}};
+  snapshot.deep_history = {{1, {4, 5}}};
+  snapshot.variables = {{"x", -7}};
+  snapshot.queue = {{"go", 42, "t"}};
+  snapshot.deferred = {{"d", 0, ""}};
+  snapshot.events_processed = 9;
+  snapshot.transitions_fired = 8;
+  statechart::InstanceSnapshot idle;
+  idle.terminated = true;
+  EXPECT_EQ(hex_of(encode_network({snapshot, idle})),
+            "02000000"                                  // instance count
+            "01000000"                                  // flags: started
+            "020000000100000004000000"                  // active states
+            "0100000006000000"                          // active finals
+            "010000000000000002000000"                  // shallow history
+            "0100000001000000020000000400000005000000"  // deep history
+            "010000000100000078f9ffffffffffffff"        // variables
+            "0100000002000000676f2a000000000000000100000074"  // queue
+            "010000000100000064000000000000000000000000"  // deferred
+            "02000000"                                  // flags: terminated
+            "00000000000000000000000000000000000000000000000000000000");  // empty lists
+}
+
 TEST(VerifyEncoding, RejectsMalformedEncodings) {
   auto machine = make_diamond();
   StateMachineInstance instance(*machine);
@@ -159,6 +198,26 @@ TEST(VerifyEncoding, RejectsMalformedEncodings) {
   std::string corrupt = encoding;
   corrupt[0] = static_cast<char>(0xff);  // Instance count far beyond payload.
   EXPECT_FALSE(decode_network(corrupt, decoded));
+  std::string flags = encoding;
+  flags[4] = 4;  // A flags bit the encoding never sets.
+  EXPECT_FALSE(decode_network(flags, decoded));
+
+  // One instance whose only non-empty list is one deep-history entry: the
+  // instance count, flags, the seven list counts and the entry's region and
+  // leaf count, each a u32. Every count in turn claims 2^32-1 elements.
+  statechart::InstanceSnapshot sparse;
+  sparse.deep_history = {{3, {}}};
+  const std::string bare = encode_network({sparse});
+  ASSERT_EQ(bare.size(), 11 * 4u);
+  const std::pair<const char*, std::size_t> counts[] = {
+      {"active states", 8},  {"active finals", 12}, {"shallow history", 16},
+      {"deep history", 20},  {"deep leaves", 28},   {"variables", 32},
+      {"queue", 36},         {"deferred", 40}};
+  for (const auto& [list, offset] : counts) {
+    std::string hostile = bare;
+    hostile.replace(offset, 4, std::string(4, '\xff'));
+    EXPECT_FALSE(decode_network(hostile, decoded)) << list;
+  }
 }
 
 // --- StateStore ---------------------------------------------------------------

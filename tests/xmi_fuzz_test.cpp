@@ -87,7 +87,7 @@ TEST_P(XmlFuzz, MutatedValidDocumentsNeverCrash) {
         default:  // Duplicate a span.
           mutated.insert(position, mutated.substr(position, 1 + rng.below(8)));
       }
-      if (mutated.empty()) mutated = "<";
+      if (mutated.empty()) mutated.push_back('<');
     }
     support::DiagnosticSink sink;
     auto reread = read_model(mutated, sink);
